@@ -11,7 +11,7 @@ import argparse
 import datetime as dt
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,8 +22,10 @@ from .engine import (
     Game,
     Snapshot,
     default_cut_date,
-    replay,
     rank_teams,
+    replay,
+    replay_stream,
+    season_end_dates,
     snapshot_at,
 )
 from .ingest import (
@@ -170,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--eval-window", metavar="FIRST..LAST", help="season range to score (default: all)")
     p.add_argument("--seed", type=int, default=0, help="seed for the synthetic league (default: 0)")
-    p.add_argument("--workers", type=int, default=4, help="concurrent sweep arms (default: 4)")
     _add_format_opts(p)
 
     return parser
@@ -370,30 +371,16 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replayed_snapshots(
-    parsed: ParsedGames, seasons: list[int], run: RunConfig, top_n: int | None
-) -> dict[int, Snapshot]:
-    snapshots: dict[int, Snapshot] = {}
-    conferences = datasets.bundled_conferences()
-    for season in seasons:
-        as_of = default_cut_date(parsed.games, season=season)
-        snapshots[season] = snapshot_at(
-            parsed.games,
-            as_of,
-            run.cfg,
-            run.policy,
-            top_n=top_n,
-            label=f"{season} board as of {as_of.isoformat()}",
-            conferences=conferences,
-        )
-    return snapshots
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     run = _run_config(args)
-    aliases = _aliases_from(args)
     if args.as_of and not args.games:
         raise CliError("--as-of only applies when replaying boards from --games")
+    if args.as_of and args.season is None:
+        raise CliError("--as-of needs --season when comparing from a games file")
+    if args.agreement_report and not args.games:
+        raise CliError("--agreement-report needs --games to replay boards from")
+    as_of = _parse_date(args.as_of, "--as-of") if args.as_of else None
+    aliases = _aliases_from(args)
     selections = _load_selections(args, aliases)
     if args.season is not None:
         selections = [r for r in selections if r.season == args.season]
@@ -402,10 +389,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     if args.games:
         parsed = _load_games(args, aliases)
-        game_seasons = {g.season for g in parsed.games}
+        ends = season_end_dates(parsed.games)
         wanted = sorted({r.season for r in selections})
-        seasons = [s for s in wanted if s in game_seasons]
-        skipped = [s for s in wanted if s not in game_seasons]
+        seasons = [s for s in wanted if s in ends]
+        skipped = [s for s in wanted if s not in ends]
         if skipped:
             print(
                 f"{PROG}: note: skipping seasons without games: "
@@ -414,23 +401,28 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             )
         if not seasons:
             raise CliError("the games file covers none of the selection seasons")
-        if args.as_of:
-            if args.season is None:
-                raise CliError("--as-of needs --season when comparing from a games file")
-            cut = _parse_date(args.as_of, "--as-of")
-            snapshots = {
-                args.season: snapshot_at(
-                    parsed.games,
-                    cut,
-                    run.cfg,
-                    run.policy,
-                    top_n=args.top_n,
-                    label=f"{args.season} board as of {cut.isoformat()}",
-                    conferences=datasets.bundled_conferences(),
-                )
-            }
+        if as_of is not None:
+            cuts = {args.season: as_of}
         else:
-            snapshots = _replayed_snapshots(parsed, seasons, run, args.top_n)
+            cuts = {s: ends[s] + dt.timedelta(days=1) for s in seasons}
+        # One fold yields every board. It stops at the latest cut, as
+        # snapshot_at would, so later games cannot add an ordering error.
+        last_cut = max(cuts.values())
+        _, boards = replay_stream(
+            [g for g in parsed.games if g.date <= last_cut], run.cfg, run.policy, cuts.values()
+        )
+        conferences = datasets.bundled_conferences()
+        full = {
+            season: Snapshot(
+                label=f"{season} board as of {cut.isoformat()}",
+                as_of=cut,
+                entries=rank_teams(boards[cut], conferences=conferences),
+            )
+            for season, cut in cuts.items()
+        }
+        snapshots = {
+            season: replace(snap, entries=snap.top(args.top_n)) for season, snap in full.items()
+        }
         selections = [r for r in selections if r.season in seasons]
     else:
         snapshots = datasets.bundled_snapshots()
@@ -450,10 +442,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         text = analysis.render_comparisons(reports, summary, run.fmt)
 
     if args.agreement_report:
-        if not args.games:
-            raise CliError("--agreement-report needs --games to replay boards from")
         # Agreement ranks need the full board, not the truncated compare depth.
-        full = _replayed_snapshots(parsed, sorted(snapshots), run, top_n=None)
         agreement = analysis.reference_agreement(full, datasets.bundled_snapshots())
         agreement_text = analysis.render_agreement(agreement, run.fmt)
         if run.fmt == "json":
@@ -506,9 +495,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     k_values = args.k if args.k else [5.0, 10.0, 25.0, 50.0, 100.0]
     try:
         base = EloConfig(initial_rating=args.initial, scale=args.scale)
-        results = evaluation.sweep_k(
-            games, k_values, run.policy, window, base_cfg=base, workers=max(args.workers, 1)
-        )
+        results = evaluation.sweep_k(games, k_values, run.policy, window, base_cfg=base)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _emit(analysis.render_sweep(results, run.fmt), run.out)

@@ -1,14 +1,15 @@
 """Season replay: fold games through the Elo update, snapshot at cut dates.
 
-Replay is order-sensitive and therefore sequential. All state objects are
-values; independent replays can run concurrently without sharing anything.
+Replay is order-sensitive and therefore sequential. Every replay in the
+package is one pass of `replay_stream`; the state objects it returns are
+values that share nothing with the fold.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .elo import EloConfig, Winner, update_pair
 
@@ -176,32 +177,58 @@ def ordered(games: Iterable[Game]) -> list[Game]:
     return sorted(games, key=lambda g: g.date)
 
 
-def replay(
-    games: Sequence[Game],
+def replay_stream(
+    games: Iterable[Game],
     cfg: EloConfig = EloConfig(),
     policy: CarryoverPolicy = CarryoverPolicy.full(),
-) -> RatingState:
-    """Fold every game through apply_game, handling season boundaries.
+    cuts: Iterable[dt.date] = (),
+    observe: Callable[[Game, Mapping[str, float]], None] | None = None,
+) -> tuple[RatingState, dict[dt.date, dict[str, float]]]:
+    """The one replay fold: order the games once and update one private dict.
 
     The carryover policy fires when the season field increases; boundaries are
     never inferred from date gaps. A season decrease along the date order is
     an ordering error.
+
+    Returns the final state and, per cut date, a copy of the ratings after the
+    games dated on or before it, before any later season's carryover.
+    `observe`, when given, sees each game with its read-only pre-game ratings.
     """
-    state = RatingState()
+    games = ordered(games)
+    pending = sorted(set(cuts), reverse=True)
+    boards: dict[dt.date, dict[str, float]] = {}
+    ratings: dict[str, float] = {}
+    initial = cfg.initial_rating
     current_season: int | None = None
-    for index, game in enumerate(ordered(games)):
+    for index, game in enumerate(games):
+        while pending and pending[-1] < game.date:
+            boards[pending.pop()] = dict(ratings)
         if current_season is not None and game.season != current_season:
             if game.season < current_season:
                 raise OutOfOrderError(
                     f"game {index}: season {game.season} follows season {current_season}"
                 )
-            state = replace(state, ratings=policy.apply(state.ratings, cfg.initial_rating))
+            ratings = policy.apply(ratings, initial)
         current_season = game.season
-        try:
-            state = apply_game(state, game, cfg)
-        except (InvalidGameError, OutOfOrderError) as exc:
-            raise type(exc)(f"game {index}: {exc}") from None
-    return state
+        if observe is not None:
+            observe(game, ratings)
+        winner = Winner.A if game.score_a > game.score_b else Winner.B
+        ratings[game.team_a], ratings[game.team_b] = update_pair(
+            ratings.get(game.team_a, initial), ratings.get(game.team_b, initial), winner, cfg
+        )
+    for cut in pending:
+        boards[cut] = dict(ratings)
+    last_date = games[-1].date if games else None
+    return RatingState(ratings=ratings, games_applied=len(games), last_date=last_date), boards
+
+
+def replay(
+    games: Sequence[Game],
+    cfg: EloConfig = EloConfig(),
+    policy: CarryoverPolicy = CarryoverPolicy.full(),
+) -> RatingState:
+    """Fold every game in date order, handling season boundaries."""
+    return replay_stream(games, cfg, policy)[0]
 
 
 def rank_teams(

@@ -6,12 +6,11 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .elo import EloConfig, expected_score
-from .engine import CarryoverPolicy, Game, OutOfOrderError, RatingState, apply_game, ordered
+from .engine import CarryoverPolicy, Game, replay_stream
 
 LOG_CLAMP = 1e-12
 
@@ -50,24 +49,18 @@ def prediction_records(
     Predictions are always made before the game's outcome touches the
     ratings, so truncating later seasons cannot change earlier records.
     """
-    state = RatingState()
-    current_season: int | None = None
     records: list[PredictionRecord] = []
-    for game in ordered(games):
-        if current_season is not None and game.season != current_season:
-            if game.season < current_season:
-                raise OutOfOrderError(
-                    f"season {game.season} follows season {current_season}"
-                )
-            state = replace(state, ratings=policy.apply(state.ratings, cfg.initial_rating))
-        current_season = game.season
-        in_window = eval_window is None or (eval_window[0] <= game.season <= eval_window[1])
-        if in_window:
+
+    def record(game: Game, ratings: Mapping[str, float]) -> None:
+        if eval_window is None or eval_window[0] <= game.season <= eval_window[1]:
             expectation = expected_score(
-                state.rating_of(game.winner, cfg), state.rating_of(game.loser, cfg), cfg
+                ratings.get(game.winner, cfg.initial_rating),
+                ratings.get(game.loser, cfg.initial_rating),
+                cfg,
             )
             records.append(PredictionRecord(game=game, p_winner_pregame=expectation.p_a))
-        state = apply_game(state, game, cfg)
+
+    replay_stream(games, cfg, policy, observe=record)
     return records
 
 
@@ -117,26 +110,12 @@ def sweep_k(
     policy: CarryoverPolicy = CarryoverPolicy.full(),
     eval_window: tuple[int, int] | None = None,
     base_cfg: EloConfig = EloConfig(),
-    workers: int = 1,
 ) -> list[tuple[float, EvalSummary]]:
-    """Independent backtests over the same game stream, one per K value.
-
-    Results come back in the order the K values were given, no matter how
-    many workers run the arms.
-    """
+    """Independent backtests over the same game stream, one per K value, run
+    one after another and returned in the order the K values were given."""
     if any(k <= 0 for k in k_values):
         raise ValueError("all K values must be positive")
-
-    def run(k: float) -> EvalSummary:
-        cfg = replace(base_cfg, k_factor=k)
-        return backtest(games, cfg, policy, eval_window)
-
-    if workers <= 1 or len(k_values) <= 1:
-        summaries = [run(k) for k in k_values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run, k_values))
-    return list(zip(list(k_values), summaries))
+    return [(k, backtest(games, replace(base_cfg, k_factor=k), policy, eval_window)) for k in k_values]
 
 
 def simulate_league(

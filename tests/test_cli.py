@@ -1,8 +1,12 @@
+import datetime as dt
 import json
 
 import pytest
 
+from cfbelo import datasets, engine
+from cfbelo.analysis import reference_agreement, render_agreement
 from cfbelo.cli import main
+from cfbelo.engine import snapshot_at
 
 from naive_elo import naive_replay
 
@@ -23,6 +27,19 @@ def three_games(tmp_path):
     path = tmp_path / "games.csv"
     path.write_text(THREE_GAME_FIXTURE, encoding="utf-8")
     return path
+
+
+def count_updates(monkeypatch):
+    """Count the rating updates the replay fold makes; returns a one-item list."""
+    calls = [0]
+    real = engine.update_pair
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "update_pair", counted)
+    return calls
 
 
 def run(capsys, *argv):
@@ -78,7 +95,7 @@ class TestExitCodes:
             "snapshot": ["--as-of", "--top-n", "--selections"],
             "compare": ["--season", "--agreement-report"],
             "backtest": ["--eval-window", "--seed"],
-            "sweep": ["--k", "--workers"],
+            "sweep": ["--k"],
             "stats": ["--selections"],
             "ingest": ["--allow-duplicates"],
         }.items():
@@ -214,6 +231,65 @@ class TestCompare:
         agreement = payload["reference_agreement"]
         assert [e["season"] for e in agreement] == [2021, 2022, 2023]
         assert all("kendall_tau" in e for e in agreement)
+
+    def test_agreement_report_uses_the_as_of_cut(self, capsys):
+        conferences = datasets.bundled_conferences()
+        taus = []
+        for as_of in ("2023-10-01", "2023-12-03"):
+            code, out, _ = run(
+                capsys,
+                "compare",
+                "--games",
+                "src/cfbelo/data/sample_games_2021_2023.csv",
+                "--season",
+                "2023",
+                "--as-of",
+                as_of,
+                "--agreement-report",
+                "--format",
+                "json",
+            )
+            assert code == 0
+            board = snapshot_at(
+                datasets.sample_games().games, dt.date.fromisoformat(as_of), conferences=conferences
+            )
+            expected = reference_agreement({2023: board}, datasets.bundled_snapshots())
+            [entry] = json.loads(out)["reference_agreement"]
+            assert entry == json.loads(render_agreement(expected, "json"))[0], as_of
+            taus.append(entry["kendall_tau"])
+        assert taus[0] != taus[1]
+
+    def test_flag_combinations_rejected_before_any_file_is_read(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code, _, err = run(capsys, "compare", "--agreement-report", "--selections", missing)
+        assert code == 1
+        assert "--agreement-report needs --games" in err
+        code, _, err = run(capsys, "compare", "--games", missing, "--as-of", "2023-10-01")
+        assert code == 1
+        assert "--as-of needs --season" in err
+
+    def test_agreement_report_folds_each_game_once(self, capsys, monkeypatch):
+        calls = count_updates(monkeypatch)
+        code, _, _ = run(
+            capsys,
+            "compare",
+            "--games",
+            "src/cfbelo/data/sample_games_2021_2023.csv",
+            "--agreement-report",
+        )
+        assert code == 0
+        assert calls[0] == len(datasets.sample_games().games)
+
+
+class TestSweepCommand:
+    def test_each_k_folds_each_game_once(self, capsys, monkeypatch):
+        calls = count_updates(monkeypatch)
+        code, out, _ = run(
+            capsys, "sweep", "--games", "src/cfbelo/data/sample_games_2021_2023.csv", "--format", "json"
+        )
+        assert code == 0
+        assert len(json.loads(out)) == 5
+        assert calls[0] == 5 * len(datasets.sample_games().games)
 
 
 class TestStats:

@@ -1,7 +1,10 @@
 import datetime as dt
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbelo.elo import EloConfig
 from cfbelo.engine import (
@@ -13,8 +16,10 @@ from cfbelo.engine import (
     TiedScoreError,
     apply_game,
     default_cut_date,
+    ordered,
     rank_teams,
     replay,
+    replay_stream,
     snapshot_at,
 )
 
@@ -274,3 +279,61 @@ class TestDefaultCutDate:
         games = winner_loser_games([("A", "B")])
         with pytest.raises(ValueError):
             default_cut_date(games, season=1999)
+
+
+POLICIES = st.one_of(
+    st.sampled_from([CarryoverPolicy.full(), CarryoverPolicy.reset()]),
+    st.floats(0.0, 1.0).map(CarryoverPolicy.regress),
+)
+
+
+@st.composite
+def multi_season_games(draw):
+    """One to three seasons of games among five teams, in ingest order, with
+    many games sharing a date."""
+    games = []
+    for season in range(2020, 2020 + draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 8))):
+            day = dt.date(season, 9, 1) + dt.timedelta(days=draw(st.integers(0, 6)))
+            team_a, team_b = draw(st.permutations("ABCDE"))[:2]
+            a_wins = draw(st.booleans())
+            games.append(Game(season, day, team_a, team_b, int(a_wins), int(not a_wins)))
+    return games
+
+
+@st.composite
+def cut_dates(draw, games):
+    """Cuts before the first game, on a game date, between seasons, after the
+    last game, and a few anywhere around them."""
+    dates = sorted({g.date for g in games})
+    first, last = dates[0], dates[-1]
+    cuts = {first - dt.timedelta(days=1), draw(st.sampled_from(dates)), last + dt.timedelta(days=1)}
+    cuts |= {dt.date(g.season + 1, 1, 1) for g in games}
+    near = st.dates(first - dt.timedelta(days=3), last + dt.timedelta(days=3))
+    return cuts | set(draw(st.lists(near, max_size=3)))
+
+
+class TestReplayStream:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), multi_season_games(), POLICIES)
+    def test_cut_boards_equal_replay_of_visible_games(self, data, games, policy):
+        cuts = data.draw(cut_dates(games))
+        _, boards = replay_stream(games, CFG, policy, cuts)
+        assert set(boards) == cuts
+        for cut in cuts:
+            visible = [g for g in games if g.date <= cut]
+            assert boards[cut] == replay(visible, CFG, policy).ratings, cut
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_season_games(), POLICIES)
+    def test_final_ratings_match_boundary_oracle(self, games, policy):
+        state, _ = replay_stream(games, CFG, policy)
+        blocks = [
+            [(g.winner, g.loser) for g in block]
+            for _, block in itertools.groupby(ordered(games), key=lambda g: g.season)
+        ]
+        expected = naive_replay_with_boundaries(blocks, mode=policy.mode, rho=policy.rho)
+        assert state.ratings.keys() == expected.keys()
+        for team, rating in expected.items():
+            assert state.ratings[team] == pytest.approx(rating, abs=1e-9), team
+        assert state.games_applied == len(games)
