@@ -11,6 +11,7 @@ import argparse
 import datetime as dt
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -189,6 +190,8 @@ def _read_file(path: str, what: str) -> str:
         return p.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {what} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} file {path} is not UTF-8: byte {exc.start}: {exc.reason}") from None
 
 
 def _aliases_from(args: argparse.Namespace) -> dict[str, str]:
@@ -250,8 +253,10 @@ def _load_games(args: argparse.Namespace, aliases: dict[str, str]) -> ParsedGame
 
 
 def _report_ingest_problems(parsed: ParsedGames) -> None:
-    for warning in parsed.warnings:
-        print(f"{PROG}: warning: {warning}", file=sys.stderr)
+    # One line per distinct warning, in first-seen order, with its count.
+    for warning, count in Counter(parsed.warnings).items():
+        times = f" ({count} times)" if count > 1 else ""
+        print(f"{PROG}: warning: {warning}{times}", file=sys.stderr)
     if parsed.rejected:
         print(f"{PROG}: rejected {len(parsed.rejected)} row(s):", file=sys.stderr)
         sys.stderr.write(rejects_to_csv(parsed.rejected))

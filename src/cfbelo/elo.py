@@ -62,25 +62,30 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
-def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> MatchExpectation:
+def win_probability(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> float:
     """Win probability of side A against side B given their current ratings.
 
     p_a = 1 / (1 + base ** ((r_b - r_a) / scale)), strictly increasing in
-    r_a - r_b and invariant under shifting both ratings by a constant.
+    r_a - r_b and invariant under shifting both ratings by a constant. This is
+    the package's one copy of the formula; every other caller goes through it.
     """
-    r_a = _require_finite(r_a, "r_a")
-    r_b = _require_finite(r_b, "r_b")
+    if not (math.isfinite(r_a) and math.isfinite(r_b)):
+        _require_finite(r_a, "r_a")
+        _require_finite(r_b, "r_b")
     exponent = (r_b - r_a) / cfg.scale
     # base**exponent overflows double precision past ~1e300, so saturate for
     # rating gaps that extreme (hundreds of thousands of points at scale 400).
     magnitude = exponent * math.log10(cfg.base)
     if magnitude > 300.0:
-        p_a = 0.0
-    elif magnitude < -300.0:
-        p_a = 1.0
-    else:
-        p_a = 1.0 / (1.0 + cfg.base**exponent)
-    return MatchExpectation(p_a=p_a)
+        return 0.0
+    if magnitude < -300.0:
+        return 1.0
+    return 1.0 / (1.0 + cfg.base**exponent)
+
+
+def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> MatchExpectation:
+    """Both sides' win probabilities; see `win_probability`."""
+    return MatchExpectation(p_a=win_probability(r_a, r_b, cfg))
 
 
 def update_pair(
@@ -95,7 +100,6 @@ def update_pair(
     loser drops, so the rating sum is conserved, and the step magnitude is
     strictly below k for finite inputs.
     """
-    expectation = expected_score(r_a, r_b, cfg)
     o_a = 1.0 if winner is Winner.A else 0.0
-    delta_a = cfg.k_factor * (o_a - expectation.p_a)
+    delta_a = cfg.k_factor * (o_a - win_probability(r_a, r_b, cfg))
     return r_a + delta_a, r_b - delta_a

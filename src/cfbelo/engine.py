@@ -28,7 +28,7 @@ class OutOfOrderError(ValueError):
     """Games were applied against the chronological order of the stream."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Game:
     """One completed head-to-head contest."""
 

@@ -9,13 +9,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .elo import EloConfig, expected_score
+from .elo import EloConfig, win_probability
 from .engine import CarryoverPolicy, Game, replay_stream
 
 LOG_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """Pre-game win probability assigned to the team that went on to win."""
 
@@ -53,12 +53,12 @@ def prediction_records(
 
     def record(game: Game, ratings: Mapping[str, float]) -> None:
         if eval_window is None or eval_window[0] <= game.season <= eval_window[1]:
-            expectation = expected_score(
+            p_winner = win_probability(
                 ratings.get(game.winner, cfg.initial_rating),
                 ratings.get(game.loser, cfg.initial_rating),
                 cfg,
             )
-            records.append(PredictionRecord(game=game, p_winner_pregame=expectation.p_a))
+            records.append(PredictionRecord(game=game, p_winner_pregame=p_winner))
 
     replay_stream(games, cfg, policy, observe=record)
     return records
@@ -155,7 +155,7 @@ def simulate_league(
         round_pairs = pairings[:]
         rng.shuffle(round_pairs)
         for team_a, team_b in round_pairs:
-            p_a = expected_score(strengths[team_a], strengths[team_b], cfg).p_a
+            p_a = win_probability(strengths[team_a], strengths[team_b], cfg)
             a_wins = rng.random() < p_a
             loser_points = rng.randrange(0, 31)
             winner_points = loser_points + rng.randrange(1, 22)

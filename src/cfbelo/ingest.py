@@ -148,7 +148,6 @@ def parse_games(
     same pair (in either orientation) on the same date.
     """
     result = ParsedGames()
-    directory = _ResolvedDirectory(aliases)
     reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
     try:
         header = next(reader)
@@ -160,20 +159,20 @@ def parse_games(
         )
         return result
 
-    seen_pairs: set[tuple[dt.date, frozenset[str]]] = set()
+    validator = _RowValidator(aliases, result.warnings)
+    seen_pairs: set[tuple[dt.date, str, str]] = set()
     for row in reader:
-        line = reader.line_num
-        raw = ",".join(row)
-        if not row or all(not cell.strip() for cell in row):
+        cells = list(map(str.strip, row))
+        if not any(cells):
             continue
-        reject = _validate_game_row(row, directory, result.warnings)
-        if isinstance(reject, str):
-            result.rejected.append(RejectedRow(line, reject, raw))
+        game = validator.validate(cells)
+        if isinstance(game, str):
+            result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
             continue
-        game = reject
-        key = (game.date, frozenset((game.team_a, game.team_b)))
+        a, b = game.team_a, game.team_b
+        key = (game.date, a, b) if a < b else (game.date, b, a)
         if not allow_duplicates and key in seen_pairs:
-            result.rejected.append(RejectedRow(line, REASON_DUPLICATE, raw))
+            result.rejected.append(RejectedRow(reader.line_num, REASON_DUPLICATE, ",".join(row)))
             continue
         seen_pairs.add(key)
         result.games.append(game)
@@ -182,55 +181,99 @@ def parse_games(
     return result
 
 
-def _validate_game_row(
-    row: list[str],
-    directory: "_ResolvedDirectory",
-    warnings: list[str],
-) -> Game | str:
-    """Build a Game from one CSV row, or return a rejection reason code."""
-    if len(row) != len(GAMES_HEADER):
-        return REASON_FIELD_COUNT
-    season_s, date_s, week_s, home_s, away_s, hp_s, ap_s, neutral_s = (c.strip() for c in row)
-    try:
-        season = int(season_s)
-    except ValueError:
-        return REASON_BAD_SEASON
-    try:
-        date = dt.date.fromisoformat(date_s)
-    except ValueError:
-        return REASON_BAD_DATE
-    try:
-        int(week_s)
-    except ValueError:
-        return REASON_BAD_WEEK
-    try:
-        home_points, away_points = int(hp_s), int(ap_s)
-    except ValueError:
-        return REASON_BAD_POINTS
-    if home_points < 0 or away_points < 0:
-        return REASON_BAD_POINTS
-    if neutral_s.lower() not in ("true", "false"):
-        return REASON_BAD_NEUTRAL
-    if not home_s or not away_s:
-        return REASON_EMPTY_TEAM
-    home = normalize_team(home_s, directory, warnings)
-    away = normalize_team(away_s, directory, warnings)
-    if home == away:
-        return REASON_SELF_PLAY
-    if home_points == away_points:
-        return REASON_TIE
-    window_start, window_end = _season_window(season)
-    if not (window_start <= date <= window_end):
-        return REASON_DATE_OUT_OF_SEASON
-    return Game(
-        season=season,
-        date=date,
-        team_a=home,
-        team_b=away,
-        score_a=home_points,
-        score_b=away_points,
-        neutral_site=neutral_s.lower() == "true",
-    )
+class _RowValidator:
+    """The game-row validator, with per-parse memos of integer cells, team
+    names and season windows so that each distinct value is worked out once."""
+
+    def __init__(self, aliases: dict[str, str] | None, warnings: list[str]):
+        self._directory = _ResolvedDirectory(aliases)
+        self._warnings = warnings
+        # stripped cell -> its schema integer, or None if it is not one
+        self._ints: dict[str, int | None] = {}
+        # stripped cell -> (canonical name, the warning normalize_team records or None)
+        self._names: dict[str, tuple[str, str | None]] = {}
+        # season -> its date window, or None when no calendar date can hold it
+        self._windows: dict[int, tuple[dt.date, dt.date] | None] = {}
+
+    def _int(self, cell: str) -> int | None:
+        try:
+            return self._ints[cell]
+        except KeyError:
+            pass
+        # The schema's integers are ASCII digits with an optional sign; int()
+        # alone would also take underscores ("1_0") and non-ASCII digits ("١٠").
+        digits = cell[1:] if cell.startswith(("+", "-")) else cell
+        value = None
+        if digits.isascii() and digits.isdigit():
+            try:
+                value = int(cell)
+            except ValueError:  # more digits than int() converts
+                pass
+        self._ints[cell] = value
+        return value
+
+    def _team(self, cell: str) -> str:
+        hit = self._names.get(cell)
+        if hit is None:
+            recorded: list[str] = []
+            name = normalize_team(cell, self._directory, recorded)
+            hit = self._names[cell] = (name, recorded[0] if recorded else None)
+        if hit[1] is not None:
+            self._warnings.append(hit[1])
+        return hit[0]
+
+    def _window(self, season: int) -> tuple[dt.date, dt.date] | None:
+        if season not in self._windows:
+            try:
+                self._windows[season] = _season_window(season)
+            except (ValueError, OverflowError):  # no calendar date in that year
+                self._windows[season] = None
+        return self._windows[season]
+
+    def validate(self, cells: list[str]) -> Game | str:
+        """Build a Game from one stripped CSV row, or return a rejection reason code."""
+        if len(cells) != len(GAMES_HEADER):
+            return REASON_FIELD_COUNT
+        season_s, date_s, week_s, home_s, away_s, hp_s, ap_s, neutral_s = cells
+        season = self._int(season_s)
+        if season is None:
+            return REASON_BAD_SEASON
+        try:
+            date = dt.date.fromisoformat(date_s)
+        except ValueError:
+            return REASON_BAD_DATE
+        if self._int(week_s) is None:
+            return REASON_BAD_WEEK
+        home_points, away_points = self._int(hp_s), self._int(ap_s)
+        if home_points is None or away_points is None:
+            return REASON_BAD_POINTS
+        if home_points < 0 or away_points < 0:
+            return REASON_BAD_POINTS
+        neutral = neutral_s.lower()
+        if neutral not in ("true", "false"):
+            return REASON_BAD_NEUTRAL
+        if not home_s or not away_s:
+            return REASON_EMPTY_TEAM
+        home = self._team(home_s)
+        away = self._team(away_s)
+        if home == away:
+            return REASON_SELF_PLAY
+        if home_points == away_points:
+            return REASON_TIE
+        window = self._window(season)
+        if window is None:
+            return REASON_BAD_SEASON
+        if not (window[0] <= date <= window[1]):
+            return REASON_DATE_OUT_OF_SEASON
+        return Game(
+            season=season,
+            date=date,
+            team_a=home,
+            team_b=away,
+            score_a=home_points,
+            score_b=away_points,
+            neutral_site=neutral == "true",
+        )
 
 
 def games_to_csv(games: list[Game]) -> str:

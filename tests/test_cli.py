@@ -125,6 +125,50 @@ class TestIngest:
         assert "Ohio State" in out
         assert "3,tie," in err
 
+    def test_season_out_of_calendar_range_is_a_reject_not_a_crash(self, capsys, tmp_path):
+        games = tmp_path / "games.csv"
+        games.write_text(
+            GAMES_HEADER + "\n99999,2023-09-02,1,A,B,21,7,false\n2023,2023-09-09,2,A,B,21,7,false\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "ingest", "--games", str(games))
+        assert code == 0
+        assert out.splitlines()[1:] == ["2023,2023-09-09,1,A,B,21,7,false"]
+        assert "cfbelo: rejected 1 row(s):\n2,bad_season,99999,2023-09-02,1,A,B,21,7,false\n" in err
+
+    @pytest.mark.parametrize(
+        "what, argv",
+        [
+            ("games", ("ingest", "--games", "{bad}")),
+            ("selections", ("compare", "--selections", "{bad}")),
+            ("alias", ("rate", "--games", "{games}", "--aliases", "{bad}")),
+        ],
+    )
+    def test_non_utf8_file_exits_one_naming_it(self, capsys, tmp_path, three_games, what, argv):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(GAMES_HEADER.encode() + b"\n2023,2023-09-02,1,Caf\xe9,B,21,7,false\n")
+        argv = [a.format(bad=bad, games=three_games) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert f"{what} file {bad} is not UTF-8" in err
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_each_distinct_warning_is_reported_once_with_its_count(self, capsys, tmp_path):
+        games = tmp_path / "games.csv"
+        games.write_text(
+            THREE_GAME_FIXTURE + "2023,2023-09-23,4,Dunmore,Ann Arbor,3,3,false\n", encoding="utf-8"
+        )
+        code, _, err = run(capsys, "ingest", "--games", str(games))
+        assert code == 0
+        assert err == (
+            "cfbelo: warning: unknown team name 'Ann Arbor' passed through verbatim (3 times)\n"
+            "cfbelo: warning: unknown team name 'Busyton' passed through verbatim (2 times)\n"
+            "cfbelo: warning: unknown team name 'Centerville' passed through verbatim (2 times)\n"
+            "cfbelo: warning: unknown team name 'Dunmore' passed through verbatim\n"
+            "cfbelo: rejected 1 row(s):\n"
+            "5,tie,2023,2023-09-23,4,Dunmore,Ann Arbor,3,3,false\n"
+        )
+
     def test_out_file_written(self, capsys, tmp_path, three_games):
         target = tmp_path / "clean.csv"
         code, out, _ = run(capsys, "ingest", "--games", str(three_games), "--out", str(target))

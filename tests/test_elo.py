@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cfbelo.elo import EloConfig, Winner, expected_score, update_pair
+from cfbelo.elo import EloConfig, Winner, expected_score, update_pair, win_probability
 
 from naive_elo import naive_expected
 
@@ -38,6 +38,23 @@ class TestExpectedScore:
             expected_score(float("nan"), 1500)
         with pytest.raises(ValueError):
             expected_score(1500, float("inf"))
+
+    def test_win_probability_is_the_textbook_expression_bit_for_bit(self):
+        # Pins the float operations and their order: ratings must stay
+        # bit-identical to every earlier replay, not merely close.
+        rng = random.Random(37)
+        for _ in range(500):
+            r_a, r_b = rng.uniform(800, 2800), rng.uniform(800, 2800)
+            cfg = EloConfig(scale=rng.choice([400.0, 173.0]), base=rng.choice([10.0, 2.5]))
+            expected = 1.0 / (1.0 + cfg.base ** ((r_b - r_a) / cfg.scale))
+            assert win_probability(r_a, r_b, cfg) == expected
+            assert expected_score(r_a, r_b, cfg).p_a == expected
+
+    def test_update_pair_names_the_non_finite_side(self):
+        with pytest.raises(ValueError, match="r_a must be a finite rating, got nan"):
+            update_pair(float("nan"), float("inf"), Winner.A)
+        with pytest.raises(ValueError, match="r_b must be a finite rating, got inf"):
+            update_pair(1500.0, float("inf"), Winner.B)
 
     def test_huge_gap_saturates_without_overflow(self):
         assert expected_score(1e9, 0.0).p_a == 1.0

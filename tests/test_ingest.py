@@ -1,7 +1,11 @@
+import csv
 import datetime as dt
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbelo.datasets import bundled_aliases
 from cfbelo.ingest import (
@@ -9,6 +13,8 @@ from cfbelo.ingest import (
     REASON_BAD_DATE,
     REASON_BAD_HEADER,
     REASON_BAD_POINTS,
+    REASON_BAD_SEASON,
+    REASON_BAD_WEEK,
     REASON_DATE_OUT_OF_SEASON,
     REASON_DUPLICATE,
     REASON_SELF_PLAY,
@@ -134,6 +140,137 @@ class TestParseGames:
         parsed = parse_games(rows_to_text("2023,2023-09-02,1,Weber State,Idaho,21,24,false"))
         assert parsed.games[0].team_a == "Weber State"
         assert any("Weber State" in w for w in parsed.warnings)
+
+
+class TestStrictRows:
+    @pytest.mark.parametrize("season", ["99999", "0", "-3", "9999", "1" + "0" * 30])
+    def test_season_without_a_calendar_window_is_bad_season(self, season):
+        parsed = parse_games(
+            rows_to_text(f"{season},2023-09-02,1,A,B,21,7,false", "2023,2023-09-09,2,A,B,21,7,false")
+        )
+        assert len(parsed.games) == 1
+        assert [(r.line_number, r.reason) for r in parsed.rejected] == [(2, REASON_BAD_SEASON)]
+
+    def test_out_of_range_season_keeps_earlier_reasons_first(self):
+        parsed = parse_games(rows_to_text("99999,not-a-date,1,A,B,21,7,false"))
+        assert [r.reason for r in parsed.rejected] == [REASON_BAD_DATE]
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("2_023,2023-09-02,1,A,B,21,7,false", REASON_BAD_SEASON),
+            ("٢٠٢٣,2023-09-02,1,A,B,21,7,false", REASON_BAD_SEASON),
+            ("2023,2023-09-02,1_0,A,B,21,7,false", REASON_BAD_WEEK),
+            ("2023,2023-09-02,١٠,A,B,21,7,false", REASON_BAD_WEEK),
+            ("2023,2023-09-02,²,A,B,21,7,false", REASON_BAD_WEEK),
+            ("2023,2023-09-02,1,A,B,1_0,١٠,false", REASON_BAD_POINTS),
+            ("2023,2023-09-02,1,A,B,21,７,false", REASON_BAD_POINTS),
+            ("2023,2023-09-02,1,A,B,+-21,7,false", REASON_BAD_POINTS),
+            ("2023,2023-09-02,1,A,B," + "9" * 5000 + ",7,false", REASON_BAD_POINTS),
+            ("2023,2023-09-02," + "9" * 5000 + ",A,B,21,7,false", REASON_BAD_WEEK),
+        ],
+    )
+    def test_integers_must_be_ascii_digits(self, row, reason):
+        parsed = parse_games(rows_to_text(row))
+        assert parsed.games == []
+        assert [r.reason for r in parsed.rejected] == [reason]
+
+    def test_signed_ascii_integers_still_parse(self):
+        parsed = parse_games(rows_to_text("+2023,2023-09-02,-1,A,B,+21,007,false"))
+        assert (parsed.games[0].season, parsed.games[0].score_a, parsed.games[0].score_b) == (2023, 21, 7)
+
+
+ALIASES = bundled_aliases()
+KNOWN_NAMES = sorted(set(ALIASES) | set(ALIASES.values()))
+UNKNOWN_NAMES = ["Weber State", "Doane, Nebraska", "Señor Tech", "A", "b"]
+WHITESPACE = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
+
+
+@st.composite
+def team_cells(draw):
+    """A bundled alias or canonical name, or an unknown name, with case and
+    whitespace variants."""
+    name = draw(st.sampled_from(KNOWN_NAMES + UNKNOWN_NAMES))
+    name = draw(st.sampled_from([str, str.upper, str.lower, str.swapcase]))(name)
+    name = name.replace(" ", draw(st.sampled_from([" ", "  ", "\t "])))
+    return draw(WHITESPACE) + name + draw(WHITESPACE)
+
+
+def mostly(valid, invalid_values):
+    """Draws from `valid` five times in six; otherwise one of the invalid
+    values or a short junk string."""
+    junk = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=6)
+    invalid = st.one_of(st.sampled_from(invalid_values), junk)
+    return st.integers(0, 5).flatmap(lambda n: valid if n else invalid)
+
+
+POINTS = mostly(st.integers(0, 60).map(str), ["-2", "1_0", "١٠", "+-3"])
+ROW_CELLS = [
+    mostly(st.sampled_from(["2023", "+2023"]), ["2022", "99999", "0", "-5", "2_023", "٢٠٢٣"]),
+    mostly(st.dates(dt.date(2023, 8, 1), dt.date(2024, 1, 31)).map(dt.date.isoformat), ["2023-07-31", "2023-13-01"]),
+    mostly(st.integers(-1, 15).map(str), ["1_0", "١٠", "x"]),
+    mostly(team_cells(), [""]),
+    mostly(team_cells(), [""]),
+    POINTS,
+    POINTS,
+    mostly(st.sampled_from(["true", "false", "TRUE", " False "]), ["yes", ""]),
+]
+
+
+@st.composite
+def game_rows(draw):
+    """A games-file row of mixed valid and invalid cells, sometimes with a
+    cell too few or too many."""
+    row = [draw(cell) for cell in ROW_CELLS]
+    change = draw(st.sampled_from([0] * 14 + [-1, 1]))
+    return row[:change] if change < 0 else row + [""] * change
+
+
+def to_csv(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([GAMES_HEADER, *rows])
+    return out.getvalue()
+
+
+class TestParseGamesProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.text())
+    def test_never_raises_on_arbitrary_text(self, text):
+        for candidate in (text, HEADER + "\n" + text):
+            parsed = parse_games(candidate, aliases=ALIASES)
+            assert all(r.reason for r in parsed.rejected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(game_rows(), max_size=25), st.booleans())
+    def test_every_non_blank_line_is_accepted_or_rejected_once(self, rows, allow_duplicates):
+        parsed = parse_games(to_csv(rows), aliases=ALIASES, allow_duplicates=allow_duplicates)
+        non_blank = [i + 2 for i, row in enumerate(rows) if any(cell.strip() for cell in row)]
+        rejected_lines = [r.line_number for r in parsed.rejected]
+        assert len(set(rejected_lines)) == len(rejected_lines)
+        assert set(rejected_lines) <= set(non_blank)
+        assert len(parsed.games) + len(parsed.rejected) == len(non_blank)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(team_cells(), team_cells()), max_size=40))
+    def test_names_and_warnings_match_normalize_team(self, pairs):
+        start = dt.date(2023, 9, 1)
+        rows = [
+            ["2023", (start + dt.timedelta(days=i)).isoformat(), "1", home, away, "21", "7", "false"]
+            for i, (home, away) in enumerate(pairs)
+        ]
+        parsed = parse_games(to_csv(rows), aliases=ALIASES)
+        expected_warnings = []
+        expected_teams = []
+        for home, away in pairs:
+            names = (
+                normalize_team(home, ALIASES, expected_warnings),
+                normalize_team(away, ALIASES, expected_warnings),
+            )
+            if names[0] != names[1]:
+                expected_teams.append(names)
+        assert [(g.team_a, g.team_b) for g in parsed.games] == expected_teams
+        assert parsed.warnings == expected_warnings
+        assert len(parsed.games) + len(parsed.rejected) == len(pairs)
 
 
 class TestRoundTrip:
