@@ -24,6 +24,8 @@ _BASE_CASES: dict[str, tuple[str, ...]] = {
     "snapshot": ("snapshot",),
     "compare": ("compare",),
     "stats": ("stats",),
+    "compare_season": ("compare", "--season", "2023"),
+    "rate_top_n_zero": ("rate", "--top-n", "0"),
     "backtest": ("backtest",),
     "sweep": ("sweep",),
     # The demo schedule passed explicitly.
@@ -32,6 +34,9 @@ _BASE_CASES: dict[str, tuple[str, ...]] = {
     "games_snapshot": ("snapshot", "--games", DEMO_GAMES),
     "games_compare": ("compare", "--games", DEMO_GAMES),
     "games_compare_agreement": ("compare", "--games", DEMO_GAMES, "--agreement-report"),
+    "games_compare_season_agreement": (
+        "compare", "--season", "2023", "--games", DEMO_GAMES, "--agreement-report",
+    ),
     "games_compare_as_of": (
         "compare", "--games", DEMO_GAMES, "--season", "2023", "--as-of", "2023-10-01",
     ),
