@@ -186,13 +186,16 @@ def compare_all(
         if report.elo_top[0].team not in {r.team for r in report.committee}
     )
     spearmans = [r.spearman_committee for r in reports if r.spearman_committee is not None]
+    total = 0.0
+    for rho in spearmans:  # left to right, as in evaluation.summarize
+        total += rho
     summary = AggregateSummary(
         n_seasons=len(reports),
         n_top4_exact=sum(r.top4_exact_match for r in reports),
         seasons_within_top5=tuple(r.season for r in reports if r.committee_within_top5),
         outside_top_ten=outside_top_ten,
         elo_one_not_selected=elo_one_not_selected,
-        mean_spearman=sum(spearmans) / len(spearmans) if spearmans else None,
+        mean_spearman=total / len(spearmans) if spearmans else None,
     )
     return reports, summary
 
@@ -262,6 +265,11 @@ def reference_agreement(
 
 # --------------------------------------------------------------------------
 # Rendering
+#
+# Each report has one view, a function of the report and the format that
+# builds only that format's form: the table text (through `format_table`),
+# the CSV rows with the header first, or the JSON payload. `emit` turns any
+# view into text, so documents are composed from views, never from output.
 
 
 def render_report(
@@ -278,14 +286,80 @@ def render_report(
     """
     fmt = _canonical_format(fmt)
     if isinstance(report, Snapshot):
-        return _render_snapshot(report, fmt, selections)
+        cfp = {r.team: r.committee_rank for r in selections or ()}
+        return emit(_snapshot_view(report, cfp, fmt), fmt)
     if isinstance(report, ComparisonReport):
-        return _render_comparison(report, fmt)
+        return emit(_comparisons_view([report], None, None, fmt), fmt)
     if isinstance(report, SelectionStats):
-        return _render_stats(report, fmt)
+        return emit(_stats_view(report, fmt), fmt)
     if isinstance(report, EvalSummary):
-        return _render_eval(report, fmt)
+        return emit(_eval_view(report, fmt), fmt)
     raise TypeError(f"cannot render object of type {type(report).__name__}")
+
+
+def render_comparisons(
+    reports: Sequence[ComparisonReport],
+    summary: AggregateSummary | None,
+    fmt: str,
+    agreement: Sequence[AgreementEntry] | None = None,
+) -> str:
+    """Render compare output as one document.
+
+    With a summary the document holds every report and the cross-season
+    aggregate (the aggregate has no CSV rows). With summary None it is the
+    single-season report, and `reports` must hold exactly one. `agreement`,
+    when given, is added as a `reference_agreement` key in JSON, as a blank
+    row and its own rows in CSV, and as its table after the rest.
+    """
+    fmt = _canonical_format(fmt)
+    if summary is None and len(reports) != 1:
+        raise ValueError("a compare document without an aggregate holds one season")
+    return emit(_comparisons_view(reports, summary, agreement, fmt), fmt)
+
+
+def render_sweep(results: Sequence[tuple[float, EvalSummary]], fmt: str) -> str:
+    """Render a K sweep as one row per K value."""
+    fmt = _canonical_format(fmt)
+    if fmt == "table":
+        rows = [
+            [f"{k:g}", str(s.n_games), f"{s.brier:.6f}", f"{s.log_loss:.6f}", f"{s.accuracy:.6f}"]
+            for k, s in results
+        ]
+        return format_table(["K", "Games", "Brier", "Log loss", "Accuracy"], rows)
+    rows = [
+        [f"{k:g}" if fmt == "csv" else k, s.n_games, s.brier, s.log_loss, s.accuracy]
+        for k, s in results
+    ]
+    return emit(_rows_view(["k", "n_games", "brier", "log_loss", "accuracy"], rows, fmt), fmt)
+
+
+def render_agreement(entries: Sequence[AgreementEntry], fmt: str) -> str:
+    """Render reference-board agreement, flagged as informational."""
+    fmt = _canonical_format(fmt)
+    return emit(_agreement_view(entries, fmt), fmt)
+
+
+def emit(view: "str | list | dict", fmt: str) -> str:
+    """Text of a view built for `fmt`: table text as it is, CSV rows through
+    the one CSV writer, a JSON payload through the one JSON emitter."""
+    if fmt == "table":
+        return view
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(view)
+        return out.getvalue()
+    if not isinstance(view, list):
+        return json.dumps(view, indent=2) + "\n"
+    # A top-level list is always a list of flat, non-empty records, and
+    # CPython's C encoder runs only without `indent`. So encode once with
+    # newline separators, then re-indent each record boundary: an encoded
+    # string never holds a raw newline, so the boundary cannot occur in a
+    # value. Empty records and nested values are outside this path; [{}] and
+    # [{"a": [1, 2]}] would not match json.dumps(view, indent=2).
+    if not view:
+        return "[]\n"
+    body = json.dumps(view, separators=(",\n    ", ": "))[2:-2]
+    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
 
 
 def _canonical_format(fmt: str) -> str:
@@ -299,190 +373,127 @@ def _canonical_format(fmt: str) -> str:
 
 def format_table(header: list[str], rows: list[list[str]]) -> str:
     """Fixed-width plain table with a header separator line."""
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = [header, ["-" * w for w in widths], *rows]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n" for line in lines
+    )
 
 
-def _committee_rank_map(selections: Sequence[SelectionRecord] | None) -> dict[str, int]:
-    return {r.team: r.committee_rank for r in selections or ()}
+def _rows_view(header: list[str], rows: list[list], fmt: str) -> list:
+    """CSV rows, header first, or the same cells as a list of JSON records."""
+    return [header, *rows] if fmt == "csv" else [dict(zip(header, row)) for row in rows]
 
 
-def _render_snapshot(
-    snapshot: Snapshot, fmt: str, selections: Sequence[SelectionRecord] | None
-) -> str:
-    cfp = _committee_rank_map(selections)
+def _snapshot_view(snapshot: Snapshot, cfp: dict[str, int], fmt: str) -> "str | list | dict":
     if fmt == "table":
         rows = [
-            [
-                str(e.elo_rank),
-                e.team,
-                e.conference,
-                str(round(e.rating)),
-                str(cfp.get(e.team, "")),
-            ]
+            [str(e.elo_rank), e.team, e.conference, str(round(e.rating)), str(cfp.get(e.team, ""))]
             for e in snapshot.entries
         ]
         header = ["Elo ranking", "Team", "Conference", "Elo rating", "CFP ranking"]
         return f"{snapshot.label}\n" + format_table(header, rows)
+    header = ["elo_rank", "team", "conference", "rating", "cfp_rank"]
+    rows = [[e.elo_rank, e.team, e.conference, e.rating, cfp.get(e.team)] for e in snapshot.entries]
+    entries = _rows_view(header, rows, fmt)
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["elo_rank", "team", "conference", "rating", "cfp_rank"])
-        for e in snapshot.entries:
-            writer.writerow([e.elo_rank, e.team, e.conference, repr(e.rating), cfp.get(e.team, "")])
-        return out.getvalue()
-    payload = {
-        "label": snapshot.label,
-        "as_of": snapshot.as_of.isoformat(),
-        "entries": [
-            {
-                "elo_rank": e.elo_rank,
-                "team": e.team,
-                "conference": e.conference,
-                "rating": e.rating,
-                "cfp_rank": cfp.get(e.team),
-            }
-            for e in snapshot.entries
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        return entries
+    return {"label": snapshot.label, "as_of": snapshot.as_of.isoformat(), "entries": entries}
 
 
-def _comparison_payload(report: ComparisonReport) -> dict:
+def _comparisons_view(
+    reports: Sequence[ComparisonReport],
+    summary: AggregateSummary | None,
+    agreement: Sequence[AgreementEntry] | None,
+    fmt: str,
+) -> "str | list | dict":
+    """The compare document; see `render_comparisons`."""
+    if fmt == "table":
+        blocks = [_comparison_view(r, fmt) for r in reports]
+        view = "\n".join(blocks + ([] if summary is None else [_aggregate_view(summary, fmt)]))
+    elif fmt == "csv":
+        header = ["season", "committee_rank", "team", "conference", "elo_rank", "overlap_top4",
+                  "top4_exact_match", "committee_within_top5", "max_committee_elo_rank"]
+        view = [header, *(row for r in reports for row in _comparison_view(r, fmt))]
+    elif summary is None:
+        view = _comparison_view(reports[0], fmt)
+    else:
+        view = {
+            "seasons": [_comparison_view(r, fmt) for r in reports],
+            "aggregate": _aggregate_view(summary, fmt),
+        }
+    if agreement is None:
+        return view
+    section = _agreement_view(agreement, fmt)
+    if fmt == "json":
+        view["reference_agreement"] = section
+    elif fmt == "csv":
+        view += [[], *section]
+    else:
+        view += section
+    return view
+
+
+def _comparison_view(report: ComparisonReport, fmt: str) -> "str | list | dict":
+    """One season's table text, CSV rows without the header, or JSON payload."""
+    ranks = report.committee_elo_ranks
+    max_rank = report.max_committee_elo_rank
+    if fmt == "table":
+        rows = [
+            [str(r.committee_rank), r.team, r.conference, str(ranks[r.team] or "absent")]
+            for r in report.committee
+        ]
+        lines = [
+            f"season {report.season}",
+            format_table(["CFP ranking", "Team", "Conference", "Elo ranking"], rows).rstrip(),
+            f"top-4 overlap: {report.overlap_top4} of 4",
+            f"top-4 exact match: {'yes' if report.top4_exact_match else 'no'}",
+            f"all picks in Elo top 5: {'yes' if report.committee_within_top5 else 'no'}",
+            f"deepest pick by Elo: {'absent from board' if max_rank is None else max_rank}",
+        ]
+        if report.spearman_committee is not None:
+            lines.append(f"Spearman (committee vs Elo order): {report.spearman_committee:+.3f}")
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        flags = [str(report.top4_exact_match).lower(), str(report.committee_within_top5).lower()]
+        return [
+            [report.season, r.committee_rank, r.team, r.conference, ranks[r.team],
+             report.overlap_top4, *flags, max_rank]
+            for r in report.committee
+        ]
     return {
         "season": report.season,
         "overlap_top4": report.overlap_top4,
         "top4_exact_match": report.top4_exact_match,
         "committee_within_top5": report.committee_within_top5,
-        "max_committee_elo_rank": report.max_committee_elo_rank,
+        "max_committee_elo_rank": max_rank,
         "spearman_committee": report.spearman_committee,
-        "committee": [
-            {
-                "committee_rank": r.committee_rank,
-                "team": r.team,
-                "conference": r.conference,
-                "elo_rank": report.committee_elo_ranks[r.team],
-                "won_championship": r.won_championship,
-            }
-            for r in report.committee
-        ],
-        "elo_top": [
-            {
-                "elo_rank": e.elo_rank,
-                "team": e.team,
-                "conference": e.conference,
-                "rating": e.rating,
-            }
-            for e in report.elo_top
-        ],
+        "committee": _rows_view(
+            ["committee_rank", "team", "conference", "elo_rank", "won_championship"],
+            [[r.committee_rank, r.team, r.conference, ranks[r.team], r.won_championship]
+             for r in report.committee],
+            fmt,
+        ),
+        "elo_top": _rows_view(
+            ["elo_rank", "team", "conference", "rating"],
+            [[e.elo_rank, e.team, e.conference, e.rating] for e in report.elo_top],
+            fmt,
+        ),
     }
 
 
-def _render_comparison(report: ComparisonReport, fmt: str) -> str:
+def _aggregate_view(summary: AggregateSummary, fmt: str) -> "str | dict":
+    """The cross-season tallies as table text or JSON payload."""
     if fmt == "json":
-        return json.dumps(_comparison_payload(report), indent=2) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "season",
-                "committee_rank",
-                "team",
-                "conference",
-                "elo_rank",
-                "overlap_top4",
-                "top4_exact_match",
-                "committee_within_top5",
-                "max_committee_elo_rank",
-            ]
-        )
-        for r in report.committee:
-            rank = report.committee_elo_ranks[r.team]
-            writer.writerow(
-                [
-                    report.season,
-                    r.committee_rank,
-                    r.team,
-                    r.conference,
-                    "" if rank is None else rank,
-                    report.overlap_top4,
-                    str(report.top4_exact_match).lower(),
-                    str(report.committee_within_top5).lower(),
-                    "" if report.max_committee_elo_rank is None else report.max_committee_elo_rank,
-                ]
-            )
-        return out.getvalue()
-
-    lines = [f"season {report.season}"]
-    rows = []
-    for r in report.committee:
-        rank = report.committee_elo_ranks[r.team]
-        rows.append(
-            [str(r.committee_rank), r.team, r.conference, "absent" if rank is None else str(rank)]
-        )
-    lines.append(format_table(["CFP ranking", "Team", "Conference", "Elo ranking"], rows).rstrip())
-    lines.append(f"top-4 overlap: {report.overlap_top4} of 4")
-    lines.append(f"top-4 exact match: {'yes' if report.top4_exact_match else 'no'}")
-    lines.append(f"all picks in Elo top 5: {'yes' if report.committee_within_top5 else 'no'}")
-    max_rank = report.max_committee_elo_rank
-    lines.append(f"deepest pick by Elo: {'absent from board' if max_rank is None else max_rank}")
-    if report.spearman_committee is not None:
-        lines.append(f"Spearman (committee vs Elo order): {report.spearman_committee:+.3f}")
-    return "\n".join(lines) + "\n"
-
-
-def render_aggregate(summary: AggregateSummary, fmt: str) -> str:
-    fmt = _canonical_format(fmt)
-    if fmt == "json":
-        payload = {
+        outside, elo_one = summary.outside_top_ten, summary.elo_one_not_selected
+        return {
             "n_seasons": summary.n_seasons,
             "n_top4_exact": summary.n_top4_exact,
             "seasons_within_top5": list(summary.seasons_within_top5),
-            "outside_top_ten": [
-                {"season": s, "team": t, "elo_rank": r} for s, t, r in summary.outside_top_ten
-            ],
-            "elo_one_not_selected": [
-                {"season": s, "team": t} for s, t in summary.elo_one_not_selected
-            ],
+            "outside_top_ten": _rows_view(["season", "team", "elo_rank"], outside, fmt),
+            "elo_one_not_selected": _rows_view(["season", "team"], elo_one, fmt),
             "mean_spearman": summary.mean_spearman,
         }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        writer.writerow(["n_seasons", summary.n_seasons])
-        writer.writerow(["n_top4_exact", summary.n_top4_exact])
-        writer.writerow(
-            ["seasons_within_top5", ";".join(str(s) for s in summary.seasons_within_top5)]
-        )
-        writer.writerow(
-            [
-                "outside_top_ten",
-                ";".join(f"{s}:{t}:{r}" for s, t, r in summary.outside_top_ten),
-            ]
-        )
-        writer.writerow(
-            ["elo_one_not_selected", ";".join(f"{s}:{t}" for s, t in summary.elo_one_not_selected)]
-        )
-        writer.writerow(
-            [
-                "mean_spearman",
-                "" if summary.mean_spearman is None else repr(summary.mean_spearman),
-            ]
-        )
-        return out.getvalue()
-
     lines = [
         "aggregate",
         f"seasons analyzed: {summary.n_seasons}",
@@ -499,29 +510,7 @@ def render_aggregate(summary: AggregateSummary, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_comparisons(
-    reports: Sequence[ComparisonReport], summary: AggregateSummary, fmt: str
-) -> str:
-    """Render a full compare_all result as one document."""
-    fmt = _canonical_format(fmt)
-    if fmt == "json":
-        payload = {
-            "seasons": [_comparison_payload(r) for r in reports],
-            "aggregate": json.loads(render_aggregate(summary, "json")),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        header, *_ = _render_comparison(reports[0], "csv").splitlines() if reports else ("",)
-        body_lines = []
-        for report in reports:
-            body_lines.extend(_render_comparison(report, "csv").splitlines()[1:])
-        return "\n".join([header] + body_lines) + "\n"
-    blocks = [_render_comparison(report, "table") for report in reports]
-    blocks.append(render_aggregate(summary, "table"))
-    return "\n".join(blocks)
-
-
-def _render_stats(stats: SelectionStats, fmt: str) -> str:
+def _stats_view(stats: SelectionStats, fmt: str) -> "str | list | dict":
     teams = sorted(
         stats.per_team.items(),
         key=lambda kv: (-kv[1].selections, -kv[1].championships, kv[0]),
@@ -530,143 +519,61 @@ def _render_stats(stats: SelectionStats, fmt: str) -> str:
         stats.per_conference.items(),
         key=lambda kv: (-kv[1].selections, kv[0]),
     )
-    if fmt == "json":
-        payload = {
-            "per_team": [
-                {"team": team, "selections": s.selections, "championships": s.championships}
-                for team, s in teams
-            ],
-            "per_conference": [
-                {
-                    "conference": conf,
-                    "selections": s.selections,
-                    "distinct_teams": s.distinct_teams,
-                }
-                for conf, s in conferences
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["section", "name", "selections", "championships", "distinct_teams"])
-        for team, s in teams:
-            writer.writerow(["team", team, s.selections, s.championships, ""])
-        for conf, s in conferences:
-            writer.writerow(["conference", conf, s.selections, "", s.distinct_teams])
-        return out.getvalue()
-
-    team_table = format_table(
-        ["Team", "Selections", "Championships Won"],
-        [[team, str(s.selections), str(s.championships)] for team, s in teams],
-    )
-    conf_table = format_table(
-        ["Conference", "Selections", "No. of teams"],
-        [[conf, str(s.selections), str(s.distinct_teams)] for conf, s in conferences],
-    )
-    return team_table + "\n" + conf_table
-
-
-def _render_eval(summary: EvalSummary, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "n_games": summary.n_games,
-            "brier": summary.brier,
-            "log_loss": summary.log_loss,
-            "accuracy": summary.accuracy,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n_games", "brier", "log_loss", "accuracy"])
-        writer.writerow(
-            [summary.n_games, repr(summary.brier), repr(summary.log_loss), repr(summary.accuracy)]
+    if fmt == "table":
+        team_table = format_table(
+            ["Team", "Selections", "Championships Won"],
+            [[team, str(s.selections), str(s.championships)] for team, s in teams],
         )
-        return out.getvalue()
-    lines = [
-        f"games scored: {summary.n_games}",
-        f"brier score:  {summary.brier:.6f}",
-        f"log loss:     {summary.log_loss:.6f}",
-        f"accuracy:     {summary.accuracy:.6f}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def render_sweep(results: Sequence[tuple[float, EvalSummary]], fmt: str) -> str:
-    """Render a K sweep as one row per K value."""
-    fmt = _canonical_format(fmt)
-    if fmt == "json":
-        payload = [
-            {
-                "k": k,
-                "n_games": s.n_games,
-                "brier": s.brier,
-                "log_loss": s.log_loss,
-                "accuracy": s.accuracy,
-            }
-            for k, s in results
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        conf_table = format_table(
+            ["Conference", "Selections", "No. of teams"],
+            [[conf, str(s.selections), str(s.distinct_teams)] for conf, s in conferences],
+        )
+        return team_table + "\n" + conf_table
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["k", "n_games", "brier", "log_loss", "accuracy"])
-        for k, s in results:
-            writer.writerow([f"{k:g}", s.n_games, repr(s.brier), repr(s.log_loss), repr(s.accuracy)])
-        return out.getvalue()
-    rows = [
-        [f"{k:g}", str(s.n_games), f"{s.brier:.6f}", f"{s.log_loss:.6f}", f"{s.accuracy:.6f}"]
-        for k, s in results
-    ]
-    return format_table(["K", "Games", "Brier", "Log loss", "Accuracy"], rows)
+        return [
+            ["section", "name", "selections", "championships", "distinct_teams"],
+            *(["team", team, s.selections, s.championships, None] for team, s in teams),
+            *(["conference", c, s.selections, None, s.distinct_teams] for c, s in conferences),
+        ]
+    return {
+        "per_team": _rows_view(
+            ["team", "selections", "championships"],
+            [[team, s.selections, s.championships] for team, s in teams],
+            fmt,
+        ),
+        "per_conference": _rows_view(
+            ["conference", "selections", "distinct_teams"],
+            [[conf, s.selections, s.distinct_teams] for conf, s in conferences],
+            fmt,
+        ),
+    }
 
 
-def render_agreement(entries: Sequence[AgreementEntry], fmt: str) -> str:
-    """Render reference-board agreement, flagged as informational."""
-    fmt = _canonical_format(fmt)
-    if fmt == "json":
-        payload = [
-            {
-                "season": e.season,
-                "n_reference": e.n_reference,
-                "n_common": e.n_common,
-                "kendall_tau": e.kendall_tau,
-                "top4_overlap": e.top4_overlap,
-            }
+def _eval_view(summary: EvalSummary, fmt: str) -> "str | list | dict":
+    if fmt == "table":
+        return (
+            f"games scored: {summary.n_games}\n"
+            f"brier score:  {summary.brier:.6f}\n"
+            f"log loss:     {summary.log_loss:.6f}\n"
+            f"accuracy:     {summary.accuracy:.6f}\n"
+        )
+    header = ["n_games", "brier", "log_loss", "accuracy"]
+    row = [summary.n_games, summary.brier, summary.log_loss, summary.accuracy]
+    return [header, row] if fmt == "csv" else dict(zip(header, row))
+
+
+def _agreement_view(entries: Sequence[AgreementEntry], fmt: str) -> "str | list":
+    if fmt == "table":
+        rows = [
+            [str(e.season), str(e.n_reference), str(e.n_common),
+             "n/a" if e.kendall_tau is None else f"{e.kendall_tau:+.3f}", str(e.top4_overlap)]
             for e in entries
         ]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["season", "n_reference", "n_common", "kendall_tau", "top4_overlap"])
-        for e in entries:
-            writer.writerow(
-                [
-                    e.season,
-                    e.n_reference,
-                    e.n_common,
-                    "" if e.kendall_tau is None else repr(e.kendall_tau),
-                    e.top4_overlap,
-                ]
-            )
-        return out.getvalue()
-    rows = [
-        [
-            str(e.season),
-            str(e.n_reference),
-            str(e.n_common),
-            "n/a" if e.kendall_tau is None else f"{e.kendall_tau:+.3f}",
-            str(e.top4_overlap),
-        ]
-        for e in entries
-    ]
-    table = format_table(
-        ["Season", "Board teams", "In replay", "Kendall tau", "Top-4 overlap"], rows
-    )
-    note = (
-        "agreement vs published boards is informational: absolute published\n"
-        "ratings depend on an unspecified dataset, start year, and carryover\n"
-    )
-    return table + note
+        header = ["Season", "Board teams", "In replay", "Kendall tau", "Top-4 overlap"]
+        return format_table(header, rows) + (
+            "agreement vs published boards is informational: absolute published\n"
+            "ratings depend on an unspecified dataset, start year, and carryover\n"
+        )
+    header = ["season", "n_reference", "n_common", "kendall_tau", "top4_overlap"]
+    rows = [[e.season, e.n_reference, e.n_common, e.kendall_tau, e.top4_overlap] for e in entries]
+    return _rows_view(header, rows, fmt)

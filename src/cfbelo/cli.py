@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -21,6 +20,7 @@ from .elo import EloConfig
 from .engine import (
     CarryoverPolicy,
     Game,
+    RatingOverflowError,
     Snapshot,
     default_cut_date,
     rank_teams,
@@ -35,6 +35,7 @@ from .ingest import (
     games_to_csv,
     load_aliases,
     parse_games,
+    parse_iso_date,
     parse_selections,
     rejects_to_csv,
 )
@@ -66,15 +67,23 @@ class RunConfig:
 def _add_format_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
-        choices=("table", "csv", "json"),
+        choices=analysis.FORMATS,
         default="table",
         help="output format (default: table)",
     )
     p.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
 
 
-def _add_elo_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=float, default=25.0, help="K-factor, points per game (default: 25)")
+def _add_elo_opts(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    if sweep:  # a list of K values, kept apart from the single K of the other commands
+        p.add_argument(
+            "--k", type=float, action="append", dest="k_values", metavar="K",
+            help="K value to test; repeat the flag for several (default: 5 10 25 50 100)",
+        )
+    else:
+        p.add_argument(
+            "--k", type=float, default=25.0, help="K-factor, points per game (default: 25)"
+        )
     p.add_argument("--initial", type=float, default=1500.0, help="starting rating (default: 1500)")
     p.add_argument("--scale", type=float, default=400.0, help="rating points per decade of odds (default: 400)")
     p.add_argument(
@@ -103,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-duplicates", action="store_true", help="keep repeated pairings on one date")
     p.add_argument(
         "--format",
-        choices=("table", "csv", "json"),
+        choices=analysis.FORMATS,
         default="csv",
         help="output format (default: csv, the canonical file form)",
     )
@@ -156,21 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="backtest once per K value")
     _add_input_opts(p, "games CSV (default: synthetic 16-team league from --seed)")
-    p.add_argument(
-        "--k",
-        type=float,
-        action="append",
-        metavar="K",
-        help="K value to test; repeat the flag for several (default: 5 10 25 50 100)",
-    )
-    p.add_argument("--initial", type=float, default=1500.0, help="starting rating (default: 1500)")
-    p.add_argument("--scale", type=float, default=400.0, help="rating points per decade of odds (default: 400)")
-    p.add_argument(
-        "--carryover",
-        default="full",
-        metavar="full|reset|regress:RHO",
-        help="season-boundary policy (default: full)",
-    )
+    _add_elo_opts(p, sweep=True)
     p.add_argument("--eval-window", metavar="FIRST..LAST", help="season range to score (default: all)")
     p.add_argument("--seed", type=int, default=0, help="seed for the synthetic league (default: 0)")
     _add_format_opts(p)
@@ -205,7 +200,7 @@ def _aliases_from(args: argparse.Namespace) -> dict[str, str]:
 
 def _parse_date(text: str, flag: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return parse_iso_date(text)
     except ValueError:
         raise CliError(f"{flag}: malformed date {text!r}, expected YYYY-MM-DD") from None
 
@@ -225,13 +220,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     top_n = getattr(args, "top_n", None)
     if top_n is not None and top_n < 0:
         raise CliError(f"--top-n must be non-negative, got {top_n}")
-    k = getattr(args, "k", 25.0)
-    if not isinstance(k, (int, float)):  # sweep collects --k into a list
-        k = 25.0
     try:
         cfg = EloConfig(
             initial_rating=getattr(args, "initial", 1500.0),
-            k_factor=k,
+            k_factor=getattr(args, "k", 25.0),
             scale=getattr(args, "scale", 400.0),
         )
     except ValueError as exc:
@@ -306,36 +298,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _render_games(games: list[Game], fmt: str) -> str:
-    if fmt == "csv":
+    if fmt == "csv":  # the canonical file form, which derives `week`
         return games_to_csv(games)
-    if fmt == "json":
-        payload = [
-            {
-                "season": g.season,
-                "date": g.date.isoformat(),
-                "home_team": g.team_a,
-                "away_team": g.team_b,
-                "home_points": g.score_a,
-                "away_points": g.score_b,
-                "neutral_site": g.neutral_site,
-            }
+    if fmt == "table":
+        rows = [
+            [str(g.season), g.date.isoformat(), g.team_a, g.team_b, f"{g.score_a}-{g.score_b}",
+             "neutral" if g.neutral_site else ""]
             for g in games
         ]
-        return json.dumps(payload, indent=2) + "\n"
-    rows = [
-        [
-            str(g.season),
-            g.date.isoformat(),
-            g.team_a,
-            g.team_b,
-            f"{g.score_a}-{g.score_b}",
-            "neutral" if g.neutral_site else "",
-        ]
+        return analysis.format_table(["Season", "Date", "Home", "Away", "Score", "Site"], rows)
+    records = [
+        {"season": g.season, "date": g.date.isoformat(), "home_team": g.team_a,
+         "away_team": g.team_b, "home_points": g.score_a, "away_points": g.score_b,
+         "neutral_site": g.neutral_site}
         for g in games
     ]
-    return analysis.format_table(
-        ["Season", "Date", "Home", "Away", "Score", "Site"], rows
-    )
+    return analysis.emit(records, fmt)
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
@@ -441,26 +419,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    if len(reports) == 1 and args.season is not None:
-        text = analysis.render_report(reports[0], run.fmt)
-    else:
-        text = analysis.render_comparisons(reports, summary, run.fmt)
-
+    agreement = None
     if args.agreement_report:
         # Agreement ranks need the full board, not the truncated compare depth.
         agreement = analysis.reference_agreement(full, datasets.bundled_snapshots())
-        agreement_text = analysis.render_agreement(agreement, run.fmt)
-        if run.fmt == "json":
-            # keep the output a single document
-            payload = json.loads(text)
-            payload["reference_agreement"] = json.loads(agreement_text)
-            text = json.dumps(payload, indent=2) + "\n"
-        elif run.fmt == "csv":
-            text += "\n" + agreement_text
-        else:
-            text += agreement_text
-
-    _emit(text, run.out)
+    # A --season run is the single-season report, without the aggregate.
+    summary = None if args.season is not None else summary
+    _emit(analysis.render_comparisons(reports, summary, run.fmt, agreement), run.out)
     return 0
 
 
@@ -488,6 +453,8 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     games, window = _eval_inputs(args)
     try:
         summary = evaluation.backtest(games, run.cfg, run.policy, window)
+    except RatingOverflowError:
+        raise
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _emit(analysis.render_report(summary, run.fmt), run.out)
@@ -497,10 +464,11 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     run = _run_config(args)
     games, window = _eval_inputs(args)
-    k_values = args.k if args.k else [5.0, 10.0, 25.0, 50.0, 100.0]
+    k_values = args.k_values or [5.0, 10.0, 25.0, 50.0, 100.0]
     try:
-        base = EloConfig(initial_rating=args.initial, scale=args.scale)
-        results = evaluation.sweep_k(games, k_values, run.policy, window, base_cfg=base)
+        results = evaluation.sweep_k(games, k_values, run.policy, window, base_cfg=run.cfg)
+    except RatingOverflowError:
+        raise
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _emit(analysis.render_sweep(results, run.fmt), run.out)
@@ -528,6 +496,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 1
+    except RatingOverflowError as exc:
+        print(f"{PROG}: error: {exc}; check --k, --initial and --scale", file=sys.stderr)
         return 1
     except BrokenPipeError:
         return 1

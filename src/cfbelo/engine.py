@@ -8,6 +8,7 @@ values that share nothing with the fold.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,6 +27,10 @@ class TiedScoreError(InvalidGameError):
 
 class OutOfOrderError(ValueError):
     """Games were applied against the chronological order of the stream."""
+
+
+class RatingOverflowError(ValueError):
+    """A rating overflowed: K or the initial rating is too large for a double."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +71,6 @@ class RatingState:
     ratings: dict[str, float] = field(default_factory=dict)
     games_applied: int = 0
     last_date: dt.date | None = None
-
-    def rating_of(self, team: str, cfg: EloConfig) -> float:
-        return self.ratings.get(team, cfg.initial_rating)
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,7 @@ def replay_stream(
     Returns the final state and, per cut date, a copy of the ratings after the
     games dated on or before it, before any later season's carryover.
     `observe`, when given, sees each game with its read-only pre-game ratings.
+    Raises RatingOverflowError, naming the game, once a rating is not finite.
     """
     games = ordered(games)
     pending = sorted(set(cuts), reverse=True)
@@ -200,26 +203,40 @@ def replay_stream(
     ratings: dict[str, float] = {}
     initial = cfg.initial_rating
     current_season: int | None = None
-    for index, game in enumerate(games):
-        while pending and pending[-1] < game.date:
-            boards[pending.pop()] = dict(ratings)
-        if current_season is not None and game.season != current_season:
-            if game.season < current_season:
-                raise OutOfOrderError(
-                    f"game {index}: season {game.season} follows season {current_season}"
-                )
-            ratings = policy.apply(ratings, initial)
-        current_season = game.season
-        if observe is not None:
-            observe(game, ratings)
-        winner = Winner.A if game.score_a > game.score_b else Winner.B
-        ratings[game.team_a], ratings[game.team_b] = update_pair(
-            ratings.get(game.team_a, initial), ratings.get(game.team_b, initial), winner, cfg
-        )
+    try:
+        for index, game in enumerate(games):
+            while pending and pending[-1] < game.date:
+                boards[pending.pop()] = dict(ratings)
+            if current_season is not None and game.season != current_season:
+                if game.season < current_season:
+                    raise OutOfOrderError(
+                        f"game {index}: season {game.season} follows season {current_season}"
+                    )
+                ratings = policy.apply(ratings, initial)
+            current_season = game.season
+            if observe is not None:
+                observe(game, ratings)
+            winner = Winner.A if game.score_a > game.score_b else Winner.B
+            ratings[game.team_a], ratings[game.team_b] = update_pair(
+                ratings.get(game.team_a, initial), ratings.get(game.team_b, initial), winner, cfg
+            )
+    except ValueError:  # win_probability refuses a rating that is no longer finite
+        _require_finite(ratings, f"by game {index} on {game.date}")
+        raise
     for cut in pending:
         boards[cut] = dict(ratings)
     last_date = games[-1].date if games else None
+    # An overflow in a team's last game never reaches win_probability.
+    _require_finite(ratings, f"after game {len(games) - 1} on {last_date}")
+    for cut, board in boards.items():
+        _require_finite(board, f"at the cut on {cut}")
     return RatingState(ratings=ratings, games_applied=len(games), last_date=last_date), boards
+
+
+def _require_finite(ratings: Mapping[str, float], where: str) -> None:
+    if not all(map(math.isfinite, ratings.values())):
+        team = next(t for t, r in ratings.items() if not math.isfinite(r))
+        raise RatingOverflowError(f"rating overflow {where}: {team!r} is at {ratings[team]}")
 
 
 def replay(

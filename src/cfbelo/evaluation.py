@@ -74,18 +74,18 @@ def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
     if not records:
         raise ValueError("no predictions to summarize")
     n = len(records)
-    brier = sum((1.0 - r.p_winner_pregame) ** 2 for r in records) / n
-    log_loss = (
-        sum(-math.log(min(max(r.p_winner_pregame, LOG_CLAMP), 1.0 - LOG_CLAMP)) for r in records)
-        / n
-    )
-    hits = 0.0
+    # Plain left-to-right sums: from Python 3.12 on, sum() compensates float
+    # rounding, which would change the printed digits between versions.
+    brier = log_loss = hits = 0.0
     for r in records:
-        if r.p_winner_pregame > 0.5:
+        p = r.p_winner_pregame
+        brier += (1.0 - p) ** 2
+        log_loss -= math.log(min(max(p, LOG_CLAMP), 1.0 - LOG_CLAMP))
+        if p > 0.5:
             hits += 1.0
-        elif r.p_winner_pregame == 0.5:
+        elif p == 0.5:
             hits += 0.5
-    return EvalSummary(n_games=n, brier=brier, log_loss=log_loss, accuracy=hits / n)
+    return EvalSummary(n_games=n, brier=brier / n, log_loss=log_loss / n, accuracy=hits / n)
 
 
 def backtest(

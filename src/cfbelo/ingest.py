@@ -131,6 +131,17 @@ def normalize_team(
     return cleaned
 
 
+def parse_iso_date(text: str) -> dt.date:
+    """The date of an exact YYYY-MM-DD string; ValueError for anything else.
+    From Python 3.11 on, dt.date.fromisoformat alone also takes other ISO 8601
+    forms, such as "20230902" and "2023-W36-6"."""
+    digits = text[:4] + text[5:7] + text[8:]
+    shaped = len(text) == 10 and text[4] == text[7] == "-"
+    if not (shaped and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected a YYYY-MM-DD date, got {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _season_window(season: int) -> tuple[dt.date, dt.date]:
     # College seasons run August through the following January.
     return dt.date(season, 8, 1), dt.date(season + 1, 1, 31)
@@ -182,14 +193,16 @@ def parse_games(
 
 
 class _RowValidator:
-    """The game-row validator, with per-parse memos of integer cells, team
-    names and season windows so that each distinct value is worked out once."""
+    """The game-row validator, with per-parse memos of integer cells, dates,
+    team names and season windows so that each distinct value is worked out once."""
 
     def __init__(self, aliases: dict[str, str] | None, warnings: list[str]):
         self._directory = _ResolvedDirectory(aliases)
         self._warnings = warnings
         # stripped cell -> its schema integer, or None if it is not one
         self._ints: dict[str, int | None] = {}
+        # stripped cell -> its date, or None if it is not an exact YYYY-MM-DD date
+        self._dates: dict[str, dt.date | None] = {}
         # stripped cell -> (canonical name, the warning normalize_team records or None)
         self._names: dict[str, tuple[str, str | None]] = {}
         # season -> its date window, or None when no calendar date can hold it
@@ -211,6 +224,14 @@ class _RowValidator:
                 pass
         self._ints[cell] = value
         return value
+
+    def _date(self, cell: str) -> dt.date | None:
+        if cell not in self._dates:
+            try:
+                self._dates[cell] = parse_iso_date(cell)
+            except ValueError:
+                self._dates[cell] = None
+        return self._dates[cell]
 
     def _team(self, cell: str) -> str:
         hit = self._names.get(cell)
@@ -238,9 +259,8 @@ class _RowValidator:
         season = self._int(season_s)
         if season is None:
             return REASON_BAD_SEASON
-        try:
-            date = dt.date.fromisoformat(date_s)
-        except ValueError:
+        date = self._date(date_s)
+        if date is None:
             return REASON_BAD_DATE
         if self._int(week_s) is None:
             return REASON_BAD_WEEK

@@ -3,12 +3,16 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbelo.analysis import (
     SeasonMismatchError,
     compare,
     compare_all,
+    emit,
     reference_agreement,
+    render_comparisons,
     render_report,
     render_sweep,
     selection_stats,
@@ -286,3 +290,33 @@ class TestReferenceAgreement:
         entries = reference_agreement(ours, bundled_snapshots())
         assert entries[0].n_common == 0
         assert entries[0].kendall_tau is None
+
+
+# Strings that could confuse the row path's re-indent: newlines, quotes, the
+# record boundary itself, and non-ASCII text.
+AWKWARD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["\n", '"', "\\", "},\n    {", '"},\n    {"', "é", "日本", " "]),
+)
+SCALARS = st.one_of(
+    AWKWARD_TEXT,
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+
+
+class TestJsonEmitter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(AWKWARD_TEXT, SCALARS, min_size=1, max_size=6), max_size=8))
+    def test_row_path_equals_indented_dumps(self, rows):
+        assert emit(rows, "json") == json.dumps(rows, indent=2) + "\n"
+
+    def test_empty_row_list(self):
+        assert emit([], "json") == json.dumps([], indent=2) + "\n"
+
+    def test_single_season_document_needs_exactly_one_report(self):
+        reports, _ = compare_all(bundled_snapshots(), bundled_selections())
+        with pytest.raises(ValueError, match="one season"):
+            render_comparisons(reports[:2], None, "json")

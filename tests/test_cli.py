@@ -69,6 +69,11 @@ class TestExitCodes:
         assert code == 1
         assert "--as-of" in err
 
+    def test_as_of_must_be_exactly_yyyy_mm_dd(self, capsys):
+        code, _, err = run(capsys, "snapshot", "--as-of", "20231201")
+        assert code == 1
+        assert "--as-of: malformed date '20231201'" in err
+
     def test_bad_k_exits_one(self, capsys):
         code, _, err = run(capsys, "rate", "--k", "-3")
         assert code == 1
@@ -103,6 +108,35 @@ class TestExitCodes:
             assert code == 0
             for flag in flags:
                 assert flag in out, (command, flag)
+
+
+DEMO_GAMES = "src/cfbelo/data/sample_games_2021_2023.csv"
+
+
+class TestRatingOverflow:
+    """A K or initial rating too large for doubles is bad input, not a bug."""
+
+    @pytest.mark.parametrize("command", ["rate", "snapshot", "compare", "backtest", "sweep"])
+    def test_overflowing_k_exits_one_naming_the_flags(self, capsys, command):
+        code, out, err = run(capsys, command, "--games", DEMO_GAMES, "--k", "1e308")
+        assert code == 1
+        assert out == ""
+        assert "rating overflow by game" in err
+        for flag in ("--k", "--initial", "--scale"):
+            assert flag in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_overflow_in_the_last_game_exits_one(self, capsys, tmp_path, fmt):
+        games = tmp_path / "games.csv"
+        games.write_text(GAMES_HEADER + "\n2023,2023-09-02,1,A,B,21,7,false\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "rate", "--games", str(games), "--initial", "1.7e308", "--k", "1e308",
+            "--format", fmt,
+        )
+        assert code == 1
+        assert out == ""
+        assert "rating overflow after game 0 on 2023-09-02: 'A' is at inf" in err
 
 
 class TestIngest:

@@ -1,5 +1,6 @@
 import datetime as dt
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from cfbelo.engine import (
     Game,
     InvalidGameError,
     OutOfOrderError,
+    RatingOverflowError,
     RatingState,
     TiedScoreError,
     apply_game,
@@ -337,3 +339,23 @@ class TestReplayStream:
         for team, rating in expected.items():
             assert state.ratings[team] == pytest.approx(rating, abs=1e-9), team
         assert state.games_applied == len(games)
+
+    def test_overflow_hidden_by_a_reset_is_caught_on_the_cut_board(self):
+        # A's second win overflows in its last game; the 2023 reset hides that
+        # from the final ratings, but the board cut between seasons holds it.
+        games = [
+            game(2022, "2022-09-03", "A", "B", 21, 7),
+            game(2022, "2022-09-03", "C", "D", 21, 7),
+            game(2022, "2022-09-10", "A", "C", 21, 7),
+            game(2023, "2023-09-02", "E", "F", 21, 7),
+        ]
+        cfg = EloConfig(initial_rating=1e308, k_factor=1.2e308)
+        assert all(map(math.isfinite, replay(games, cfg, CarryoverPolicy.reset()).ratings.values()))
+        with pytest.raises(RatingOverflowError, match=r"at the cut on 2023-01-01: 'A' is at inf"):
+            replay_stream(games, cfg, CarryoverPolicy.reset(), [dt.date(2023, 1, 1)])
+
+    def test_overflow_names_the_game_that_read_it(self):
+        games = [game(2023, "2023-09-02", "A", "B", 21, 7), game(2023, "2023-09-09", "A", "C", 21, 7)]
+        cfg = EloConfig(initial_rating=1.7e308, k_factor=1e308)
+        with pytest.raises(RatingOverflowError, match=r"by game 1 on 2023-09-09: 'A' is at inf"):
+            replay_stream(games, cfg)

@@ -1,11 +1,16 @@
 import datetime as dt
 import math
+from functools import reduce
+from operator import add
+from pathlib import Path
 
 import pytest
 
+from cfbelo.analysis import compare_all
 from cfbelo.elo import EloConfig
-from cfbelo.engine import Game, replay
+from cfbelo.engine import Game, Snapshot, rank_teams, replay
 from cfbelo.evaluation import (
+    LOG_CLAMP,
     PredictionRecord,
     backtest,
     kendall_tau,
@@ -14,8 +19,14 @@ from cfbelo.evaluation import (
     summarize,
     sweep_k,
 )
+from cfbelo.ingest import SelectionRecord, parse_games
 
 CFG = EloConfig()
+DEMO_GAMES = Path(__file__).parent.parent / "src" / "cfbelo" / "data" / "sample_games_2021_2023.csv"
+
+
+def games_from_demo_file():
+    return parse_games(DEMO_GAMES.read_text(encoding="utf-8")).games
 
 
 def one_game(season=2023, date="2023-09-02", a="A", b="B"):
@@ -209,3 +220,50 @@ class TestStrengthRecovery:
             summary = backtest(league.games, CFG)
             assert summary.brier < 0.25, seed
             assert summary.log_loss < math.log(2), seed
+
+
+def compensated_sum(values):
+    """The float sum() of CPython 3.12 and later (Neumaier's compensation)."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+class TestLeftToRightSums:
+    """Scores add left to right, so the printed digits match on every Python.
+
+    Python 3.11's sum() already adds left to right, so on 3.11 these tests pin
+    the contract; only a 3.12+ interpreter running sum() would fail them.
+    """
+
+    def test_summarize_adds_left_to_right(self):
+        records = prediction_records(games_from_demo_file())
+        p = [r.p_winner_pregame for r in records]
+        brier_terms = [(1.0 - x) ** 2 for x in p]
+        log_terms = [-math.log(min(max(x, LOG_CLAMP), 1.0 - LOG_CLAMP)) for x in p]
+        # The input tells the two orders apart.
+        assert compensated_sum(brier_terms) != reduce(add, brier_terms, 0.0)
+        assert compensated_sum(log_terms) != reduce(add, log_terms, 0.0)
+        summary = summarize(records)
+        assert summary.brier == reduce(add, brier_terms, 0.0) / len(p)
+        assert summary.log_loss == reduce(add, log_terms, 0.0) / len(p)
+
+    def test_mean_spearman_adds_left_to_right(self):
+        # Each permutation gives the committee picks' Elo ranks in one season.
+        perms = [(2, 1, 4, 3), (1, 2, 3, 4), (2, 4, 1, 3), (3, 4, 1, 2), (4, 3, 2, 1), (1, 2, 4, 3)]
+        snapshots, selections = {}, []
+        for season, perm in enumerate(perms, start=2000):
+            teams = [f"T{season}-{rank}" for rank in perm]
+            ratings = {f"T{season}-{rank}": 2000.0 - rank for rank in range(1, 5)}
+            snapshots[season] = Snapshot(f"{season} board", dt.date(season, 12, 1), rank_teams(ratings))
+            selections += [SelectionRecord(season, i + 1, t, "Conf", False) for i, t in enumerate(teams)]
+        reports, summary = compare_all(snapshots, selections)
+        rhos = [r.spearman_committee for r in reports]
+        assert compensated_sum(rhos) != reduce(add, rhos, 0.0)
+        assert summary.mean_spearman == reduce(add, rhos, 0.0) / len(rhos)

@@ -151,6 +151,17 @@ class TestStrictRows:
         assert len(parsed.games) == 1
         assert [(r.line_number, r.reason) for r in parsed.rejected] == [(2, REASON_BAD_SEASON)]
 
+    @pytest.mark.parametrize("date", ["20230902", "2023-W36-6", "２０２３-09-02"])
+    def test_date_must_be_exactly_yyyy_mm_dd(self, date):
+        # The same cell twice: the per-parse date memo must reject it both times.
+        rows = [f"2023,{date},1,A,B,21,7,false", f"2023,{date},1,C,D,21,7,false"]
+        parsed = parse_games(rows_to_text(*rows, "2023,2023-09-02,1,E,F,21,7,false"))
+        assert [g.team_a for g in parsed.games] == ["E"]
+        assert [(r.line_number, r.reason) for r in parsed.rejected] == [
+            (2, REASON_BAD_DATE),
+            (3, REASON_BAD_DATE),
+        ]
+
     def test_out_of_range_season_keeps_earlier_reasons_first(self):
         parsed = parse_games(rows_to_text("99999,not-a-date,1,A,B,21,7,false"))
         assert [r.reason for r in parsed.rejected] == [REASON_BAD_DATE]
