@@ -160,7 +160,7 @@ def apply_game(state: RatingState, game: Game, cfg: EloConfig = EloConfig()) -> 
     """Apply a single game, returning the new state.
 
     Teams not seen before enter at cfg.initial_rating. Only the two
-    participants' ratings change.
+    participants' ratings change. A new rating that is not finite raises RatingOverflowError.
     """
     if state.last_date is not None and game.date < state.last_date:
         raise OutOfOrderError(
@@ -170,7 +170,9 @@ def apply_game(state: RatingState, game: Game, cfg: EloConfig = EloConfig()) -> 
     r_a = ratings.get(game.team_a, cfg.initial_rating)
     r_b = ratings.get(game.team_b, cfg.initial_rating)
     winner = Winner.A if game.score_a > game.score_b else Winner.B
-    ratings[game.team_a], ratings[game.team_b] = update_pair(r_a, r_b, winner, cfg)
+    pair = dict(zip((game.team_a, game.team_b), update_pair(r_a, r_b, winner, cfg)))
+    _require_finite(pair, f"after game {state.games_applied} on {game.date}")
+    ratings.update(pair)
     return RatingState(ratings=ratings, games_applied=state.games_applied + 1, last_date=game.date)
 
 
@@ -186,51 +188,66 @@ def replay_stream(
     cuts: Iterable[dt.date] = (),
     observe: Callable[[Game, Mapping[str, float]], None] | None = None,
 ) -> tuple[RatingState, dict[dt.date, dict[str, float]]]:
-    """The one replay fold: order the games once and update one private dict.
+    """The one-config case of `replay_arms`: the final state and the cut boards."""
+    return replay_arms(games, (cfg,), policy, cuts, None if observe is None else (observe,))[0]
+
+
+def replay_arms(
+    games: Iterable[Game],
+    cfgs: Sequence[EloConfig],
+    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    cuts: Iterable[dt.date] = (),
+    observers: Sequence[Callable[[Game, Mapping[str, float]], None] | None] | None = None,
+) -> list[tuple[RatingState, dict[dt.date, dict[str, float]]]]:
+    """The one replay fold: order the games once and, on each game, update one
+    private ratings dict per config (an arm).
 
     The carryover policy fires when the season field increases; boundaries are
     never inferred from date gaps. A season decrease along the date order is
     an ordering error.
 
-    Returns the final state and, per cut date, a copy of the ratings after the
-    games dated on or before it, before any later season's carryover.
-    `observe`, when given, sees each game with its read-only pre-game ratings.
-    Raises RatingOverflowError, naming the game, once a rating is not finite.
+    Returns, per arm, the final state and, per cut date, a copy of the ratings
+    after the games dated on or before it, before any later season's carryover.
+    `observers[i]`, when given, sees each game with arm i's read-only pre-game
+    ratings. Raises RatingOverflowError, naming the game, once any arm's rating is not finite.
     """
     games = ordered(games)
     pending = sorted(set(cuts), reverse=True)
-    boards: dict[dt.date, dict[str, float]] = {}
-    ratings: dict[str, float] = {}
-    initial = cfg.initial_rating
+    arms = [({}, {}, cfg, cfg.initial_rating, see) for cfg, see in zip(cfgs, observers or [None] * len(cfgs))]
     current_season: int | None = None
     try:
         for index, game in enumerate(games):
             while pending and pending[-1] < game.date:
-                boards[pending.pop()] = dict(ratings)
+                cut = pending.pop()
+                for ratings, boards, *_ in arms:
+                    boards[cut] = dict(ratings)
             if current_season is not None and game.season != current_season:
                 if game.season < current_season:
                     raise OutOfOrderError(
                         f"game {index}: season {game.season} follows season {current_season}"
                     )
-                ratings = policy.apply(ratings, initial)
+                for ratings, _, _, initial, _ in arms:
+                    ratings.update(policy.apply(ratings, initial))
             current_season = game.season
-            if observe is not None:
-                observe(game, ratings)
+            a, b = game.team_a, game.team_b
             winner = Winner.A if game.score_a > game.score_b else Winner.B
-            ratings[game.team_a], ratings[game.team_b] = update_pair(
-                ratings.get(game.team_a, initial), ratings.get(game.team_b, initial), winner, cfg
-            )
+            for ratings, _, cfg, initial, see in arms:
+                if see is not None:
+                    see(game, ratings)
+                ratings[a], ratings[b] = update_pair(ratings.get(a, initial), ratings.get(b, initial), winner, cfg)
     except ValueError:  # win_probability refuses a rating that is no longer finite
-        _require_finite(ratings, f"by game {index} on {game.date}")
+        for ratings, *_ in arms:
+            _require_finite(ratings, f"by game {index} on {game.date}")
         raise
-    for cut in pending:
-        boards[cut] = dict(ratings)
     last_date = games[-1].date if games else None
-    # An overflow in a team's last game never reaches win_probability.
-    _require_finite(ratings, f"after game {len(games) - 1} on {last_date}")
-    for cut, board in boards.items():
-        _require_finite(board, f"at the cut on {cut}")
-    return RatingState(ratings=ratings, games_applied=len(games), last_date=last_date), boards
+    for ratings, boards, *_ in arms:
+        for cut in pending:
+            boards[cut] = dict(ratings)
+        # An overflow in a team's last game never reaches win_probability.
+        _require_finite(ratings, f"after game {len(games) - 1} on {last_date}")
+        for cut, board in boards.items():
+            _require_finite(board, f"at the cut on {cut}")
+    return [(RatingState(ratings, len(games), last_date), boards) for ratings, boards, *_ in arms]
 
 
 def _require_finite(ratings: Mapping[str, float], where: str) -> None:

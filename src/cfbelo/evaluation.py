@@ -7,10 +7,11 @@ import datetime as dt
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 from .elo import EloConfig, win_probability
-from .engine import CarryoverPolicy, Game, replay_stream
+from .engine import CarryoverPolicy, Game, ordered, replay_arms
 
 LOG_CLAMP = 1e-12
 
@@ -49,19 +50,31 @@ def prediction_records(
     Predictions are always made before the game's outcome touches the
     ratings, so truncating later seasons cannot change earlier records.
     """
-    records: list[PredictionRecord] = []
+    first, last = eval_window or (-math.inf, math.inf)
+    scored = [g for g in ordered(games) if first <= g.season <= last]
+    return list(map(PredictionRecord, scored, _winner_probabilities(games, (cfg,), policy, eval_window)[0]))
 
-    def record(game: Game, ratings: Mapping[str, float]) -> None:
-        if eval_window is None or eval_window[0] <= game.season <= eval_window[1]:
-            p_winner = win_probability(
-                ratings.get(game.winner, cfg.initial_rating),
-                ratings.get(game.loser, cfg.initial_rating),
-                cfg,
-            )
-            records.append(PredictionRecord(game=game, p_winner_pregame=p_winner))
 
-    replay_stream(games, cfg, policy, observe=record)
-    return records
+def _winner_probabilities(
+    games: Sequence[Game],
+    cfgs: Sequence[EloConfig],
+    policy: CarryoverPolicy,
+    eval_window: tuple[int, int] | None,
+) -> list[list[float]]:
+    """One replay for every config: per config, the winner's pre-game win
+    probability for each game inside the eval window, in replay order."""
+    window = eval_window or (-math.inf, math.inf)
+    arms: list[list[float]] = [[] for _ in cfgs]
+    replay_arms(games, cfgs, policy, observers=[partial(_predict, window, *arm) for arm in zip(cfgs, arms)])
+    return arms
+
+
+def _predict(
+    window: tuple[float, float], cfg: EloConfig, p_winners: list[float], game: Game, ratings: Mapping[str, float]
+) -> None:
+    if window[0] <= game.season <= window[1]:
+        r_winner = ratings.get(game.winner, cfg.initial_rating)
+        p_winners.append(win_probability(r_winner, ratings.get(game.loser, cfg.initial_rating), cfg))
 
 
 def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
@@ -71,14 +84,19 @@ def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
     term is (1 - p)^2 and the log-loss term is -ln(p) with p clamped away
     from 0 and 1. A coin-flip p of exactly 0.5 earns half an accuracy point.
     """
-    if not records:
-        raise ValueError("no predictions to summarize")
-    n = len(records)
+    return _summary([r.p_winner_pregame for r in records])
+
+
+def _summary(p_winners: Sequence[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
+    """`summarize` over winner probabilities; empty under `eval_window`, no season matched."""
+    if not p_winners:
+        raise ValueError("no predictions to summarize" if eval_window is None else
+                         f"eval window {eval_window[0]}..{eval_window[1]} matches no season in the data")
+    n = len(p_winners)
     # Plain left-to-right sums: from Python 3.12 on, sum() compensates float
     # rounding, which would change the printed digits between versions.
     brier = log_loss = hits = 0.0
-    for r in records:
-        p = r.p_winner_pregame
+    for p in p_winners:
         brier += (1.0 - p) ** 2
         log_loss -= math.log(min(max(p, LOG_CLAMP), 1.0 - LOG_CLAMP))
         if p > 0.5:
@@ -95,13 +113,7 @@ def backtest(
     eval_window: tuple[int, int] | None = None,
 ) -> EvalSummary:
     """Replay the stream and score predictions inside the eval window."""
-    if eval_window is not None:
-        seasons = {g.season for g in games}
-        if not any(eval_window[0] <= s <= eval_window[1] for s in seasons):
-            raise ValueError(
-                f"eval window {eval_window[0]}..{eval_window[1]} matches no season in the data"
-            )
-    return summarize(prediction_records(games, cfg, policy, eval_window))
+    return _summary(_winner_probabilities(games, (cfg,), policy, eval_window)[0], eval_window)
 
 
 def sweep_k(
@@ -111,11 +123,12 @@ def sweep_k(
     eval_window: tuple[int, int] | None = None,
     base_cfg: EloConfig = EloConfig(),
 ) -> list[tuple[float, EvalSummary]]:
-    """Independent backtests over the same game stream, one per K value, run
-    one after another and returned in the order the K values were given."""
+    """Independent backtests over the same game stream, one per K value, all
+    advanced in one replay and returned in the order the K values were given."""
     if any(k <= 0 for k in k_values):
         raise ValueError("all K values must be positive")
-    return [(k, backtest(games, replace(base_cfg, k_factor=k), policy, eval_window)) for k in k_values]
+    arms = _winner_probabilities(games, [replace(base_cfg, k_factor=k) for k in k_values], policy, eval_window)
+    return [(k, _summary(p_winners, eval_window)) for k, p_winners in zip(k_values, arms)]
 
 
 def simulate_league(

@@ -12,7 +12,7 @@ import datetime as dt
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import Game
 
@@ -142,9 +142,36 @@ def parse_iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _season_window(season: int) -> tuple[dt.date, dt.date]:
+def _season_window(season: int) -> tuple[dt.date, dt.date] | None:
     # College seasons run August through the following January.
-    return dt.date(season, 8, 1), dt.date(season + 1, 1, 31)
+    try:
+        return dt.date(season, 8, 1), dt.date(season + 1, 1, 31)
+    except (ValueError, OverflowError):  # no calendar date in that year
+        return None
+
+
+def _schema_int(cell: str) -> int | None:
+    text = cell.strip()
+    # The schema's integers are ASCII digits with an optional sign; int()
+    # alone would also take underscores ("1_0") and non-ASCII digits ("١٠").
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def _schema_date(cell: str) -> dt.date | None:
+    try:
+        return parse_iso_date(cell.strip())
+    except ValueError:
+        return None
+
+
+def _flag(cell: str) -> bool | None:
+    return {"true": True, "false": False}.get(cell.strip().lower())
 
 
 def parse_games(
@@ -173,12 +200,11 @@ def parse_games(
     validator = _RowValidator(aliases, result.warnings)
     seen_pairs: set[tuple[dt.date, str, str]] = set()
     for row in reader:
-        cells = list(map(str.strip, row))
-        if not any(cells):
-            continue
-        game = validator.validate(cells)
+        game = validator.validate(row)
         if isinstance(game, str):
-            result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
+            # A blank row of any width fails before anything is recorded: skip it.
+            if any(map(str.strip, row)):
+                result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
             continue
         a, b = game.team_a, game.team_b
         key = (game.date, a, b) if a < b else (game.date, b, a)
@@ -192,108 +218,77 @@ def parse_games(
     return result
 
 
+# Slot setters of Game, in field order, for rows the validator has checked in
+# full; the public Game(...) would check them again in __post_init__.
+_GAME_SLOTS = tuple(Game.__dict__[f.name].__set__ for f in fields(Game))
+
+
 class _RowValidator:
-    """The game-row validator, with per-parse memos of integer cells, dates,
-    team names and season windows so that each distinct value is worked out once."""
+    """The game-row validator. Its memos are keyed on the raw cell, so each
+    distinct cell is stripped and worked out once per parse."""
 
     def __init__(self, aliases: dict[str, str] | None, warnings: list[str]):
         self._directory = _ResolvedDirectory(aliases)
         self._warnings = warnings
-        # stripped cell -> its schema integer, or None if it is not one
+        # raw cell (a season, for _windows) -> its value, or None if it is not valid
         self._ints: dict[str, int | None] = {}
-        # stripped cell -> its date, or None if it is not an exact YYYY-MM-DD date
         self._dates: dict[str, dt.date | None] = {}
-        # stripped cell -> (canonical name, the warning normalize_team records or None)
-        self._names: dict[str, tuple[str, str | None]] = {}
-        # season -> its date window, or None when no calendar date can hold it
+        self._flags: dict[str, bool | None] = {}
+        self._names: dict[str, tuple[str, tuple[str, ...]] | None] = {}
         self._windows: dict[int, tuple[dt.date, dt.date] | None] = {}
 
-    def _int(self, cell: str) -> int | None:
-        try:
-            return self._ints[cell]
-        except KeyError:
-            pass
-        # The schema's integers are ASCII digits with an optional sign; int()
-        # alone would also take underscores ("1_0") and non-ASCII digits ("١٠").
-        digits = cell[1:] if cell.startswith(("+", "-")) else cell
-        value = None
-        if digits.isascii() and digits.isdigit():
-            try:
-                value = int(cell)
-            except ValueError:  # more digits than int() converts
-                pass
-        self._ints[cell] = value
-        return value
+    def _name(self, cell: str) -> tuple[str, tuple[str, ...]] | None:
+        """The canonical name and the warnings normalize_team records for it."""
+        if not cell.strip():
+            return None
+        recorded: list[str] = []
+        return normalize_team(cell, self._directory, recorded), tuple(recorded)
 
-    def _date(self, cell: str) -> dt.date | None:
-        if cell not in self._dates:
-            try:
-                self._dates[cell] = parse_iso_date(cell)
-            except ValueError:
-                self._dates[cell] = None
-        return self._dates[cell]
-
-    def _team(self, cell: str) -> str:
-        hit = self._names.get(cell)
-        if hit is None:
-            recorded: list[str] = []
-            name = normalize_team(cell, self._directory, recorded)
-            hit = self._names[cell] = (name, recorded[0] if recorded else None)
-        if hit[1] is not None:
-            self._warnings.append(hit[1])
-        return hit[0]
-
-    def _window(self, season: int) -> tuple[dt.date, dt.date] | None:
-        if season not in self._windows:
-            try:
-                self._windows[season] = _season_window(season)
-            except (ValueError, OverflowError):  # no calendar date in that year
-                self._windows[season] = None
-        return self._windows[season]
-
-    def validate(self, cells: list[str]) -> Game | str:
-        """Build a Game from one stripped CSV row, or return a rejection reason code."""
-        if len(cells) != len(GAMES_HEADER):
+    def validate(self, row: list[str]) -> Game | str:
+        """Build a Game from one raw CSV row, or return a rejection reason code."""
+        if len(row) != len(GAMES_HEADER):
             return REASON_FIELD_COUNT
-        season_s, date_s, week_s, home_s, away_s, hp_s, ap_s, neutral_s = cells
-        season = self._int(season_s)
+        season_s, date_s, week_s, home_s, away_s, hp_s, ap_s, neutral_s = row
+        ints, dates, flags, names, windows = self._ints, self._dates, self._flags, self._names, self._windows
+        season = ints[season_s] if season_s in ints else ints.setdefault(season_s, _schema_int(season_s))
         if season is None:
             return REASON_BAD_SEASON
-        date = self._date(date_s)
+        date = dates[date_s] if date_s in dates else dates.setdefault(date_s, _schema_date(date_s))
         if date is None:
             return REASON_BAD_DATE
-        if self._int(week_s) is None:
+        if (ints[week_s] if week_s in ints else ints.setdefault(week_s, _schema_int(week_s))) is None:
             return REASON_BAD_WEEK
-        home_points, away_points = self._int(hp_s), self._int(ap_s)
-        if home_points is None or away_points is None:
+        home_points = ints[hp_s] if hp_s in ints else ints.setdefault(hp_s, _schema_int(hp_s))
+        away_points = ints[ap_s] if ap_s in ints else ints.setdefault(ap_s, _schema_int(ap_s))
+        if home_points is None or away_points is None or home_points < 0 or away_points < 0:
             return REASON_BAD_POINTS
-        if home_points < 0 or away_points < 0:
-            return REASON_BAD_POINTS
-        neutral = neutral_s.lower()
-        if neutral not in ("true", "false"):
+        neutral = flags[neutral_s] if neutral_s in flags else flags.setdefault(neutral_s, _flag(neutral_s))
+        if neutral is None:
             return REASON_BAD_NEUTRAL
-        if not home_s or not away_s:
+        home = names[home_s] if home_s in names else names.setdefault(home_s, self._name(home_s))
+        away = names[away_s] if away_s in names else names.setdefault(away_s, self._name(away_s))
+        if home is None or away is None:
             return REASON_EMPTY_TEAM
-        home = self._team(home_s)
-        away = self._team(away_s)
-        if home == away:
+        self._warnings += home[1] + away[1]
+        if home[0] == away[0]:
             return REASON_SELF_PLAY
         if home_points == away_points:
             return REASON_TIE
-        window = self._window(season)
+        window = windows[season] if season in windows else windows.setdefault(season, _season_window(season))
         if window is None:
             return REASON_BAD_SEASON
         if not (window[0] <= date <= window[1]):
             return REASON_DATE_OUT_OF_SEASON
-        return Game(
-            season=season,
-            date=date,
-            team_a=home,
-            team_b=away,
-            score_a=home_points,
-            score_b=away_points,
-            neutral_site=neutral == "true",
-        )
+        game = object.__new__(Game)
+        set_season, set_date, set_team_a, set_team_b, set_score_a, set_score_b, set_neutral = _GAME_SLOTS
+        set_season(game, season)
+        set_date(game, date)
+        set_team_a(game, home[0])
+        set_team_b(game, away[0])
+        set_score_a(game, home_points)
+        set_score_b(game, away_points)
+        set_neutral(game, neutral)
+        return game
 
 
 def games_to_csv(games: list[Game]) -> str:

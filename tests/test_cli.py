@@ -1,12 +1,19 @@
+import contextlib
 import datetime as dt
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbelo import datasets, engine
 from cfbelo.analysis import reference_agreement, render_agreement
 from cfbelo.cli import main
 from cfbelo.engine import snapshot_at
+from cfbelo.ingest import parse_games
 
 from naive_elo import naive_replay
 
@@ -29,17 +36,22 @@ def three_games(tmp_path):
     return path
 
 
-def count_updates(monkeypatch):
-    """Count the rating updates the replay fold makes; returns a one-item list."""
+def count_calls(monkeypatch, name):
+    """Count the calls made to the engine function `name`; returns a one-item list."""
     calls = [0]
-    real = engine.update_pair
+    real = getattr(engine, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "update_pair", counted)
+    monkeypatch.setattr(engine, name, counted)
     return calls
+
+
+def count_updates(monkeypatch):
+    """Count the rating updates the replay fold makes; returns a one-item list."""
+    return count_calls(monkeypatch, "update_pair")
 
 
 def run(capsys, *argv):
@@ -369,6 +381,21 @@ class TestSweepCommand:
         assert len(json.loads(out)) == 5
         assert calls[0] == 5 * len(datasets.sample_games().games)
 
+    def test_all_k_values_share_one_pass(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "ordered")
+        code, out, _ = run(capsys, "sweep", "--games", DEMO_GAMES, "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == 5
+        assert calls[0] == 1
+
+    def test_one_overflowing_k_fails_the_sweep_naming_the_flags(self, capsys):
+        code, out, err = run(capsys, "sweep", "--games", DEMO_GAMES, "--k", "25", "--k", "1e308")
+        assert code == 1
+        assert out == ""
+        assert "rating overflow by game" in err
+        for flag in ("--k", "--initial", "--scale"):
+            assert flag in err
+
 
 class TestStats:
     def test_table_contains_published_counts(self, capsys):
@@ -457,3 +484,107 @@ class TestDeterminism:
         capsys.readouterr()
         assert code == 0
         assert target.read_text(encoding="utf-8") == out
+
+
+TEAMS = ["Georgia", "Michigan", "Texas", "Washington", "Alabama", "Florida State", "Weber State", "ohio  state"]
+# Per flag: values that are valid, then values that are not.
+FLAG_VALUES = {
+    "--k": (["25", "5", "1e-9", "1e308"], ["0", "-3", "nan", "inf", "x"]),
+    "--initial": (["1500", "0", "-1e6", "1.7e308"], ["nan", "x"]),
+    "--scale": (["400", "1", "1e-300"], ["0", "-400", "inf", "x"]),
+    "--carryover": (["full", "reset", "regress:0.5"], ["regress:2", "regress:x", "bogus"]),
+    "--top-n": (["25", "1", "0"], ["-1", "x"]),
+    "--as-of": (["2023-12-03", "2022-09-01", "2030-01-01"], ["20231203", "2023-02-30", "x"]),
+    "--season": (["2023", "2022"], ["1999", "x"]),
+    "--eval-window": (["2023..2023", "2022..2023"], ["1990..1991", "2023..2022", "2023", "x"]),
+}
+COMMAND_FLAGS = {
+    "rate": ["--k", "--initial", "--scale", "--carryover", "--top-n"],
+    "snapshot": ["--k", "--initial", "--scale", "--carryover", "--top-n", "--as-of", "--season"],
+    "compare": ["--k", "--initial", "--scale", "--carryover", "--top-n", "--as-of", "--season"],
+    "backtest": ["--k", "--initial", "--scale", "--carryover", "--eval-window"],
+    "sweep": ["--k", "--k", "--initial", "--scale", "--carryover", "--eval-window"],
+}
+
+
+@st.composite
+def games_files(draw):
+    """A games file of mostly valid rows over two seasons, as UTF-8 bytes,
+    sometimes with a byte that is not UTF-8."""
+    rows = [GAMES_HEADER]
+    for _ in range(draw(st.integers(0, 12))):
+        season = draw(st.sampled_from([2022, 2023]))
+        day = dt.date(season, 9, 2) + dt.timedelta(days=7 * draw(st.integers(0, 14)))
+        home, away = draw(st.permutations(TEAMS))[:2]
+        points = draw(st.sampled_from(["21,7", "7,21", "10,3", "14,14", "x,3"]))
+        rows.append(f"{season},{day},1,{home},{away},{points},false")
+    data = ("\n".join(rows) + "\n").encode("utf-8")
+    return data + draw(st.sampled_from([b""] * 9 + [b"\xff"]))
+
+
+@st.composite
+def selections_files(draw):
+    """Four picks per season, or a broken file: a pick short, garbage, or not UTF-8."""
+    rows = ["season,committee_rank,team,conference,won_championship"]
+    for season in (2022, 2023):
+        picks = draw(st.permutations(TEAMS))[:4]
+        rows += [f"{season},{rank},{team},Conf,{'true' if rank == 1 else 'false'}" for rank, team in enumerate(picks, 1)]
+    text = "\n".join(rows) + "\n"
+    broken = {"short": text.rsplit("\n", 2)[0] + "\n", "garbage": "a,b\n1,2\n"}
+    choice = draw(st.sampled_from(["valid"] * 12 + ["short", "garbage", "bytes"]))
+    return b"\xfe\xff" if choice == "bytes" else broken.get(choice, text).encode("utf-8")
+
+
+ALIAS_FILES = st.sampled_from(
+    [b'{"Ohio St": "Ohio State", "UGA": "Georgia"}'] * 3 + [b"{}", b"[1, 2]", b'{"a": 1}', b"{", b"\xff\xfe"]
+)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestCliProperties:
+    """Exit 2 is only ever a bug, and output is a function of the input."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(COMMAND_FLAGS)), games_files(), selections_files(), ALIAS_FILES)
+    def test_never_exits_two_and_repeats_its_output(self, data, command, games, selections, aliases):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"--games": games, "--selections": selections, "--aliases": aliases}
+            argv = [command, "--format", data.draw(st.sampled_from(["table", "csv", "json"]))]
+            for flag, content in files.items():
+                if flag != "--selections" or command in ("snapshot", "compare"):
+                    if data.draw(st.sampled_from([True, True, True, False])):
+                        path = Path(tmp) / flag.strip("-")
+                        path.write_bytes(content)
+                        argv += [flag, str(path)]
+            for flag in COMMAND_FLAGS[command]:
+                if data.draw(st.booleans()):
+                    valid, invalid = FLAG_VALUES[flag]
+                    value = data.draw(st.sampled_from(valid * 4 + invalid))
+                    argv.append(f"{flag}={value}")  # "=" keeps a leading "-" a value
+            if command == "compare" and data.draw(st.booleans()):
+                argv.append("--agreement-report")
+            first, second = run_quietly(argv), run_quietly(argv)
+        assert first[0] in (0, 1), argv
+        assert first == second, argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(games_files())
+    def test_ingest_csv_reparses_to_the_same_games(self, games):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "games.csv"
+            path.write_bytes(games)
+            code, out = run_quietly(["ingest", "--games", str(path), "--format", "csv"])
+        if code == 1:  # a file that is not UTF-8
+            assert b"\xff" in games
+            return
+        assert code == 0
+        expected = parse_games(games.decode("utf-8"), aliases=datasets.bundled_aliases())
+        again = parse_games(out, aliases=datasets.bundled_aliases())
+        assert again.games == expected.games
+        assert again.rejected == []

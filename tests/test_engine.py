@@ -92,6 +92,11 @@ class TestApplyGame:
         with pytest.raises(OutOfOrderError):
             apply_game(state, game(2023, "2023-09-02", "A", "B", 7, 3), CFG)
 
+    def test_overflow_raises_naming_the_game(self):
+        cfg = EloConfig(initial_rating=1.7e308, k_factor=1e308)
+        with pytest.raises(RatingOverflowError, match=r"after game 0 on 2023-09-02: 'A' is at inf"):
+            apply_game(RatingState(), game(2023, "2023-09-02", "A", "B", 21, 7), cfg)
+
 
 class TestReplay:
     def test_empty_stream_is_identity(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 from functools import reduce
@@ -5,10 +6,12 @@ from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbelo.analysis import compare_all
 from cfbelo.elo import EloConfig
-from cfbelo.engine import Game, Snapshot, rank_teams, replay
+from cfbelo.engine import CarryoverPolicy, Game, Snapshot, rank_teams, replay
 from cfbelo.evaluation import (
     LOG_CLAMP,
     PredictionRecord,
@@ -135,6 +138,44 @@ class TestSweep:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ValueError):
             sweep_k([one_game()], [25.0, 0.0])
+
+
+POLICIES = st.one_of(
+    st.sampled_from([CarryoverPolicy.full(), CarryoverPolicy.reset()]),
+    st.floats(0.0, 1.0).map(CarryoverPolicy.regress),
+)
+WINDOWS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(2019, 2024), st.integers(0, 3)).map(lambda w: (w[0], w[0] + w[1])),
+)
+
+
+@st.composite
+def seasons_of_games(draw):
+    """One to four seasons among six teams, many games sharing a date, in
+    ingest order."""
+    games = []
+    for season in range(2020, 2020 + draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 12))):
+            day = dt.date(season, 9, 1) + dt.timedelta(days=draw(st.integers(0, 9)))
+            team_a, team_b = draw(st.permutations("ABCDEF"))[:2]
+            a_wins = draw(st.booleans())
+            games.append(Game(season, day, team_a, team_b, int(a_wins), int(not a_wins)))
+    return games
+
+
+class TestOnePassScorer:
+    @settings(max_examples=100, deadline=None)
+    @given(seasons_of_games(), POLICIES, WINDOWS, st.lists(st.floats(0.5, 200.0), min_size=1, max_size=5))
+    def test_sweep_and_backtest_equal_summaries_of_prediction_records(self, games, policy, window, ks):
+        per_k = [prediction_records(games, dataclasses.replace(CFG, k_factor=k), policy, window) for k in ks]
+        if not per_k[0]:
+            for score in (lambda: sweep_k(games, ks, policy, window), lambda: backtest(games, CFG, policy, window)):
+                with pytest.raises(ValueError, match="matches no season"):
+                    score()
+            return
+        assert sweep_k(games, ks, policy, window) == [(k, summarize(records)) for k, records in zip(ks, per_k)]
+        assert backtest(games, CFG, policy, window) == summarize(prediction_records(games, CFG, policy, window))
 
 
 class TestSimulateLeague:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import datetime as dt
 import io
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbelo.datasets import bundled_aliases
+from cfbelo.engine import Game, TiedScoreError
 from cfbelo.ingest import (
     GAMES_HEADER,
     REASON_BAD_DATE,
@@ -26,6 +29,8 @@ from cfbelo.ingest import (
     parse_selections,
     rejects_to_csv,
 )
+
+from naive_ingest import naive_parse_games
 
 HEADER = ",".join(GAMES_HEADER)
 
@@ -282,6 +287,69 @@ class TestParseGamesProperties:
         assert [(g.team_a, g.team_b) for g in parsed.games] == expected_teams
         assert parsed.warnings == expected_warnings
         assert len(parsed.games) + len(parsed.rejected) == len(pairs)
+
+
+def padded(valid, invalid):
+    """One of the valid cells nine times in ten, else an invalid one, with
+    whitespace drawn on either side."""
+    cell = st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: st.sampled_from(valid if ok else invalid))
+    return st.tuples(WHITESPACE, cell, WHITESPACE).map("".join)
+
+
+ORACLE_CELLS = [
+    padded(["2023", "+2023"], ["2022", "99999", "0", "-5", "2_023", "٢٠٢٣", "", "x"]),
+    padded(
+        ["2023-09-02", "2023-09-09", "2023-12-30", "2024-01-06"],
+        ["20230902", "2023-W36-6", "2023-9-2", "２０２３-09-02", "2023-02-30", "2023-07-31", ""],
+    ),
+    padded(["1", "+3", "-1", "14"], ["1_0", "١٠", "", "x"]),
+    padded(["Ohio State", "ohio  state", "Michigan", "Weber State", "A", "two\nlines"], [""]),
+    padded(["Ohio State", "Michigan", "Señor Tech", "A", "two\nlines"], [""]),
+    padded(["21", "+14", "7", "0"], ["-2", "1_0", "١٠", "", "x"]),
+    padded(["7", "21", "+14", "0"], ["-2", "١٠", ""]),
+    padded(["true", "false", "TRUE", "False"], ["yes", ""]),
+]
+
+
+@st.composite
+def oracle_rows(draw):
+    """A games-file row from small pools of valid and invalid cells, so that
+    duplicates happen; sometimes a cell too few or too many, and sometimes a
+    blank or whitespace-only row of any width."""
+    if draw(st.sampled_from([False] * 9 + [True])):
+        return draw(st.lists(WHITESPACE, max_size=10))
+    row = [draw(cell) for cell in ORACLE_CELLS]
+    change = draw(st.sampled_from([0] * 14 + [-1, 1]))
+    return row[:change] if change < 0 else row + [draw(WHITESPACE)] * change
+
+
+def public_game(game):
+    return Game(*(getattr(game, f.name) for f in dataclasses.fields(Game)))
+
+
+class TestParseGamesAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(oracle_rows(), max_size=30), st.booleans())
+    def test_games_rejects_and_warnings_equal_the_naive_oracle(self, rows, allow_duplicates):
+        text = to_csv(rows)
+        parsed = parse_games(text, aliases=ALIASES, allow_duplicates=allow_duplicates)
+        games, rejected, warnings = naive_parse_games(text, ALIASES, allow_duplicates)
+        assert parsed.games == games
+        assert [(r.line_number, r.reason, r.raw) for r in parsed.rejected] == rejected
+        assert parsed.warnings == warnings
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(oracle_rows(), max_size=30))
+    def test_parsed_games_behave_like_public_ones(self, rows):
+        for game in parse_games(to_csv(rows), aliases=ALIASES).games:
+            public = public_game(game)
+            assert (game == public, hash(game), repr(game)) == (True, hash(public), repr(public))
+            assert type(game.neutral_site) is bool
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                game.score_a = game.score_b
+            with pytest.raises(TiedScoreError):
+                dataclasses.replace(game, score_b=game.score_a)
+            assert pickle.loads(pickle.dumps(game)) == game
 
 
 class TestRoundTrip:
