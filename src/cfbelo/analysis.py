@@ -8,13 +8,18 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engine import Snapshot, SnapshotEntry
 from .evaluation import EvalSummary, kendall_tau
 from .ingest import SelectionRecord
 
 FORMATS = ("table", "csv", "json")
+# Records per piece of `json_records`. Encoding a piece takes about nine
+# times its text (3.5 MB at 2,048 records on CPython 3.11), whatever the
+# length of the whole list.
+JSON_CHUNK = 2048
 
 
 class SeasonMismatchError(ValueError):
@@ -348,18 +353,29 @@ def emit(view: "str | list | dict", fmt: str) -> str:
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(view)
         return out.getvalue()
-    if not isinstance(view, list):
-        return json.dumps(view, indent=2) + "\n"
-    # A top-level list is always a list of flat, non-empty records, and
-    # CPython's C encoder runs only without `indent`. So encode once with
-    # newline separators, then re-indent each record boundary: an encoded
-    # string never holds a raw newline, so the boundary cannot occur in a
-    # value. Empty records and nested values are outside this path; [{}] and
-    # [{"a": [1, 2]}] would not match json.dumps(view, indent=2).
-    if not view:
-        return "[]\n"
-    body = json.dumps(view, separators=(",\n    ", ": "))[2:-2]
-    return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
+    if isinstance(view, list):
+        return "".join(json_records(view))
+    return json.dumps(view, indent=2) + "\n"
+
+
+def json_records(records: Iterable[dict]) -> Iterator[str]:
+    """`json.dumps(list(records), indent=2) + "\n"` for flat, non-empty
+    records, in pieces of JSON_CHUNK records, each taken from `records` only
+    when its piece is encoded.
+
+    CPython's C encoder runs only without `indent`. So each chunk is encoded
+    once with newline separators, then each record boundary is re-indented:
+    an encoded string never holds a raw newline, so the boundary cannot occur
+    in a value. Empty records and nested values are outside this path; [{}]
+    and [{"a": [1, 2]}] would not match json.dumps(..., indent=2).
+    """
+    records = iter(records)
+    lead = "[\n  {\n    "
+    while chunk := list(islice(records, JSON_CHUNK)):
+        body = json.dumps(chunk, separators=(",\n    ", ": "))[2:-2]
+        yield lead + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }"
+        lead = ",\n  {\n    "
+    yield "[]\n" if lead[0] == "[" else "\n]\n"  # "[]" when no record came
 
 
 def _canonical_format(fmt: str) -> str:

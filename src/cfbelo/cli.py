@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import analysis, datasets, evaluation
 from .elo import EloConfig
@@ -263,12 +263,15 @@ def _load_selections(args: argparse.Namespace, aliases: dict[str, str]) -> list[
     return list(datasets.bundled_selections())
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str | Iterable[str], out: Path | None) -> None:
+    """Write a report, whole or in the pieces it is encoded in."""
+    pieces = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as f:
+            f.writelines(pieces)
     except OSError as exc:
         raise CliError(f"cannot write --out file {out}: {exc}") from None
 
@@ -297,7 +300,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_games(games: list[Game], fmt: str) -> str:
+def _render_games(games: list[Game], fmt: str) -> str | Iterable[str]:
     if fmt == "csv":  # the canonical file form, which derives `week`
         return games_to_csv(games)
     if fmt == "table":
@@ -307,13 +310,12 @@ def _render_games(games: list[Game], fmt: str) -> str:
             for g in games
         ]
         return analysis.format_table(["Season", "Date", "Home", "Away", "Score", "Site"], rows)
-    records = [
+    return analysis.json_records(
         {"season": g.season, "date": g.date.isoformat(), "home_team": g.team_a,
          "away_team": g.team_b, "home_points": g.score_a, "away_points": g.score_b,
          "neutral_site": g.neutral_site}
         for g in games
-    ]
-    return analysis.emit(records, fmt)
+    )
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
@@ -394,17 +396,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _, boards = replay_stream(
             [g for g in parsed.games if g.date <= last_cut], run.cfg, run.policy, cuts.values()
         )
+        # Agreement ranks need the full board; the compare table only --top-n.
+        depth = None if args.agreement_report else args.top_n
         conferences = datasets.bundled_conferences()
-        full = {
+        ranked = {
             season: Snapshot(
                 label=f"{season} board as of {cut.isoformat()}",
                 as_of=cut,
-                entries=rank_teams(boards[cut], conferences=conferences),
+                entries=rank_teams(boards[cut], top_n=depth, conferences=conferences),
             )
             for season, cut in cuts.items()
         }
         snapshots = {
-            season: replace(snap, entries=snap.top(args.top_n)) for season, snap in full.items()
+            season: replace(snap, entries=snap.top(args.top_n)) for season, snap in ranked.items()
         }
         selections = [r for r in selections if r.season in seasons]
     else:
@@ -421,8 +425,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     agreement = None
     if args.agreement_report:
-        # Agreement ranks need the full board, not the truncated compare depth.
-        agreement = analysis.reference_agreement(full, datasets.bundled_snapshots())
+        agreement = analysis.reference_agreement(ranked, datasets.bundled_snapshots())
     # A --season run is the single-season report, without the aggregate.
     summary = None if args.season is not None else summary
     _emit(analysis.render_comparisons(reports, summary, run.fmt, agreement), run.out)

@@ -88,18 +88,25 @@ def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> Ma
     return MatchExpectation(p_a=win_probability(r_a, r_b, cfg))
 
 
+def step(r_a: Rating, r_b: Rating, a_won: bool, cfg: EloConfig = EloConfig()) -> tuple[float, Rating, Rating]:
+    """Side A's pre-game win probability and both post-game ratings.
+
+    Each side moves by k * (outcome - expectation). The winner gains what the
+    loser drops, so the rating sum is conserved, and the step magnitude is
+    strictly below k for finite inputs. This is the package's one copy of the
+    update rule.
+    """
+    p_a = win_probability(r_a, r_b, cfg)
+    delta_a = cfg.k_factor * ((1.0 if a_won else 0.0) - p_a)
+    return p_a, r_a + delta_a, r_b - delta_a
+
+
 def update_pair(
     r_a: Rating,
     r_b: Rating,
     winner: Winner,
     cfg: EloConfig = EloConfig(),
 ) -> tuple[Rating, Rating]:
-    """Post-game ratings for both sides.
-
-    Each side moves by k * (outcome - expectation). The winner gains what the
-    loser drops, so the rating sum is conserved, and the step magnitude is
-    strictly below k for finite inputs.
-    """
-    o_a = 1.0 if winner is Winner.A else 0.0
-    delta_a = cfg.k_factor * (o_a - win_probability(r_a, r_b, cfg))
-    return r_a + delta_a, r_b - delta_a
+    """Post-game ratings for both sides; see `step`."""
+    _, new_a, new_b = step(r_a, r_b, winner is Winner.A, cfg)
+    return new_a, new_b

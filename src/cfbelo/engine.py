@@ -10,9 +10,9 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .elo import EloConfig, Winner, update_pair
+from .elo import EloConfig, step, win_probability
 
 UNKNOWN_CONFERENCE = "Unknown"
 
@@ -169,8 +169,7 @@ def apply_game(state: RatingState, game: Game, cfg: EloConfig = EloConfig()) -> 
     ratings = dict(state.ratings)
     r_a = ratings.get(game.team_a, cfg.initial_rating)
     r_b = ratings.get(game.team_b, cfg.initial_rating)
-    winner = Winner.A if game.score_a > game.score_b else Winner.B
-    pair = dict(zip((game.team_a, game.team_b), update_pair(r_a, r_b, winner, cfg)))
+    pair = dict(zip((game.team_a, game.team_b), step(r_a, r_b, game.score_a > game.score_b, cfg)[1:]))
     _require_finite(pair, f"after game {state.games_applied} on {game.date}")
     ratings.update(pair)
     return RatingState(ratings=ratings, games_applied=state.games_applied + 1, last_date=game.date)
@@ -186,10 +185,10 @@ def replay_stream(
     cfg: EloConfig = EloConfig(),
     policy: CarryoverPolicy = CarryoverPolicy.full(),
     cuts: Iterable[dt.date] = (),
-    observe: Callable[[Game, Mapping[str, float]], None] | None = None,
 ) -> tuple[RatingState, dict[dt.date, dict[str, float]]]:
     """The one-config case of `replay_arms`: the final state and the cut boards."""
-    return replay_arms(games, (cfg,), policy, cuts, None if observe is None else (observe,))[0]
+    state, boards, _ = replay_arms(games, (cfg,), policy, cuts)[0]
+    return state, boards
 
 
 def replay_arms(
@@ -197,23 +196,26 @@ def replay_arms(
     cfgs: Sequence[EloConfig],
     policy: CarryoverPolicy = CarryoverPolicy.full(),
     cuts: Iterable[dt.date] = (),
-    observers: Sequence[Callable[[Game, Mapping[str, float]], None] | None] | None = None,
-) -> list[tuple[RatingState, dict[dt.date, dict[str, float]]]]:
+    window: tuple[float, float] | None = None,
+) -> list[tuple[RatingState, dict[dt.date, dict[str, float]], list[float]]]:
     """The one replay fold: order the games once and, on each game, update one
-    private ratings dict per config (an arm).
+    private ratings dict per config (an arm) with one `step` call.
 
     The carryover policy fires when the season field increases; boundaries are
     never inferred from date gaps. A season decrease along the date order is
     an ordering error.
 
-    Returns, per arm, the final state and, per cut date, a copy of the ratings
-    after the games dated on or before it, before any later season's carryover.
-    `observers[i]`, when given, sees each game with arm i's read-only pre-game
-    ratings. Raises RatingOverflowError, naming the game, once any arm's rating is not finite.
+    Returns, per arm, the final state; per cut date, a copy of the ratings
+    after the games dated on or before it, before any later season's
+    carryover; and, for each game whose season lies inside the inclusive
+    `window` (none without one), the winner's pre-game win probability
+    `win_probability(r_winner, r_loser, cfg)`, in replay order. Raises
+    RatingOverflowError, naming the game, once any arm's rating is not finite.
     """
     games = ordered(games)
     pending = sorted(set(cuts), reverse=True)
-    arms = [({}, {}, cfg, cfg.initial_rating, see) for cfg, see in zip(cfgs, observers or [None] * len(cfgs))]
+    arms = [({}, {}, cfg, cfg.initial_rating, []) for cfg in cfgs]
+    first, last = window or (math.inf, -math.inf)
     current_season: int | None = None
     try:
         for index, game in enumerate(games):
@@ -229,12 +231,15 @@ def replay_arms(
                 for ratings, _, _, initial, _ in arms:
                     ratings.update(policy.apply(ratings, initial))
             current_season = game.season
+            scored = first <= current_season <= last
             a, b = game.team_a, game.team_b
-            winner = Winner.A if game.score_a > game.score_b else Winner.B
-            for ratings, _, cfg, initial, see in arms:
-                if see is not None:
-                    see(game, ratings)
-                ratings[a], ratings[b] = update_pair(ratings.get(a, initial), ratings.get(b, initial), winner, cfg)
+            a_won = game.score_a > game.score_b
+            for ratings, _, cfg, initial, p_winners in arms:
+                r_a = ratings.get(a, initial)
+                r_b = ratings.get(b, initial)
+                p_a, ratings[a], ratings[b] = step(r_a, r_b, a_won, cfg)
+                if scored:
+                    p_winners.append(p_a if a_won else win_probability(r_b, r_a, cfg))
     except ValueError:  # win_probability refuses a rating that is no longer finite
         for ratings, *_ in arms:
             _require_finite(ratings, f"by game {index} on {game.date}")
@@ -247,7 +252,7 @@ def replay_arms(
         _require_finite(ratings, f"after game {len(games) - 1} on {last_date}")
         for cut, board in boards.items():
             _require_finite(board, f"at the cut on {cut}")
-    return [(RatingState(ratings, len(games), last_date), boards) for ratings, boards, *_ in arms]
+    return [(RatingState(ratings, len(games), last_date), boards, p) for ratings, boards, _, _, p in arms]
 
 
 def _require_finite(ratings: Mapping[str, float], where: str) -> None:
@@ -301,7 +306,7 @@ def snapshot_at(
     later seasons being present in the input. A cut before the first game
     yields an empty snapshot; a top_n beyond the team count returns everyone.
     """
-    visible = [g for g in ordered(games) if g.date <= as_of]
+    visible = [g for g in games if g.date <= as_of]
     state = replay(visible, cfg, policy)
     return Snapshot(
         label=label if label is not None else f"as of {as_of.isoformat()}",

@@ -7,8 +7,7 @@ import datetime as dt
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .elo import EloConfig, win_probability
 from .engine import CarryoverPolicy, Game, ordered, replay_arms
@@ -64,17 +63,7 @@ def _winner_probabilities(
     """One replay for every config: per config, the winner's pre-game win
     probability for each game inside the eval window, in replay order."""
     window = eval_window or (-math.inf, math.inf)
-    arms: list[list[float]] = [[] for _ in cfgs]
-    replay_arms(games, cfgs, policy, observers=[partial(_predict, window, *arm) for arm in zip(cfgs, arms)])
-    return arms
-
-
-def _predict(
-    window: tuple[float, float], cfg: EloConfig, p_winners: list[float], game: Game, ratings: Mapping[str, float]
-) -> None:
-    if window[0] <= game.season <= window[1]:
-        r_winner = ratings.get(game.winner, cfg.initial_rating)
-        p_winners.append(win_probability(r_winner, ratings.get(game.loser, cfg.initial_rating), cfg))
+    return [p_winners for _, _, p_winners in replay_arms(games, cfgs, policy, window=window)]
 
 
 def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
@@ -87,22 +76,21 @@ def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
     return _summary([r.p_winner_pregame for r in records])
 
 
-def _summary(p_winners: Sequence[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
+def _summary(p_winners: list[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
     """`summarize` over winner probabilities; empty under `eval_window`, no season matched."""
     if not p_winners:
         raise ValueError("no predictions to summarize" if eval_window is None else
                          f"eval window {eval_window[0]}..{eval_window[1]} matches no season in the data")
     n = len(p_winners)
+    log, high = math.log, 1.0 - LOG_CLAMP
     # Plain left-to-right sums: from Python 3.12 on, sum() compensates float
     # rounding, which would change the printed digits between versions.
-    brier = log_loss = hits = 0.0
+    brier = log_loss = 0.0
     for p in p_winners:
         brier += (1.0 - p) ** 2
-        log_loss -= math.log(min(max(p, LOG_CLAMP), 1.0 - LOG_CLAMP))
-        if p > 0.5:
-            hits += 1.0
-        elif p == 0.5:
-            hits += 0.5
+        log_loss -= log(LOG_CLAMP if p < LOG_CLAMP else high if p > high else p)
+    # Whole and half points are exact in a float, so the order does not matter.
+    hits = sum(map(0.5.__lt__, p_winners)) + 0.5 * p_winners.count(0.5)
     return EvalSummary(n_games=n, brier=brier / n, log_loss=log_loss / n, accuracy=hits / n)
 
 

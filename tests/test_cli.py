@@ -3,16 +3,17 @@ import datetime as dt
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbelo import datasets, engine
-from cfbelo.analysis import reference_agreement, render_agreement
+from cfbelo import analysis, cli, datasets, engine
+from cfbelo.analysis import JSON_CHUNK, reference_agreement, render_agreement
 from cfbelo.cli import main
-from cfbelo.engine import snapshot_at
+from cfbelo.engine import Game, snapshot_at
 from cfbelo.ingest import parse_games
 
 from naive_elo import naive_replay
@@ -51,7 +52,7 @@ def count_calls(monkeypatch, name):
 
 def count_updates(monkeypatch):
     """Count the rating updates the replay fold makes; returns a one-item list."""
-    return count_calls(monkeypatch, "update_pair")
+    return count_calls(monkeypatch, "step")
 
 
 def run(capsys, *argv):
@@ -221,6 +222,45 @@ class TestIngest:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith(GAMES_HEADER)
+
+    def test_json_on_stdout_and_in_out_file_is_the_same_bytes(self, capsys, tmp_path):
+        n = 2 * JSON_CHUNK + 1
+        games = tmp_path / "games.csv"
+        games.write_text(
+            GAMES_HEADER + "\n" + "".join(
+                f"2023,{dt.date(2023, 9, 1) + dt.timedelta(days=i % 100)},1,Home {i},Away {i},"
+                f"{i % 50 + 1},0,{str(i % 3 == 0).lower()}\n"
+                for i in range(n)
+            ),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "ingest", "--games", str(games), "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == n
+        target = tmp_path / "games.json"
+        code, again, _ = run(capsys, "ingest", "--games", str(games), "--format", "json", "--out", str(target))
+        assert code == 0
+        assert again == ""
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_json_output_memory_does_not_grow_with_the_document(self, monkeypatch, tmp_path):
+        # Encoding a chunk takes several times that chunk's text on CPython
+        # 3.11, so the bound is a real one only over many chunks; a smaller
+        # chunk keeps forty of them quick under tracemalloc. Rendering the
+        # whole document at once took about ten times the document.
+        monkeypatch.setattr(analysis, "JSON_CHUNK", 256)
+        games = [
+            Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
+            for i in range(40 * 256)
+        ]
+        target = tmp_path / "games.json"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._render_games(games, "json"), target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size / 3
 
 
 class TestRate:

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import math
+import sys
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbelo.analysis import compare_all
-from cfbelo.elo import EloConfig
-from cfbelo.engine import CarryoverPolicy, Game, Snapshot, rank_teams, replay
+from cfbelo.elo import EloConfig, win_probability
+from cfbelo.engine import CarryoverPolicy, Game, Snapshot, ordered, rank_teams, replay, replay_arms
 from cfbelo.evaluation import (
     LOG_CLAMP,
+    EvalSummary,
     PredictionRecord,
     backtest,
     kendall_tau,
@@ -34,6 +36,24 @@ def games_from_demo_file():
 
 def one_game(season=2023, date="2023-09-02", a="A", b="B"):
     return Game(season, dt.date.fromisoformat(date), a, b, 7, 3)
+
+
+# The edges of the clamp, the knife edge, and subnormals.
+EDGE_PROBABILITIES = [0.0, 0.5, 1.0, LOG_CLAMP, 1.0 - LOG_CLAMP, math.ulp(0.0), sys.float_info.min / 2]
+
+
+def reference_summary(p_winners):
+    """The scorer as a plain loop, kept as the oracle for the faster one."""
+    n = len(p_winners)
+    brier = log_loss = hits = 0.0
+    for p in p_winners:
+        brier += (1.0 - p) ** 2
+        log_loss -= math.log(min(max(p, LOG_CLAMP), 1.0 - LOG_CLAMP))
+        if p > 0.5:
+            hits += 1.0
+        elif p == 0.5:
+            hits += 0.5
+    return EvalSummary(n_games=n, brier=brier / n, log_loss=log_loss / n, accuracy=hits / n)
 
 
 class TestSummarize:
@@ -79,6 +99,12 @@ class TestSummarize:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBABILITIES)), min_size=1))
+    def test_scorer_equals_the_reference_loop(self, p_winners):
+        records = [PredictionRecord(one_game(), p) for p in p_winners]
+        assert summarize(records) == reference_summary(p_winners)
 
 
 class TestBacktest:
@@ -176,6 +202,27 @@ class TestOnePassScorer:
             return
         assert sweep_k(games, ks, policy, window) == [(k, summarize(records)) for k, records in zip(ks, per_k)]
         assert backtest(games, CFG, policy, window) == summarize(prediction_records(games, CFG, policy, window))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seasons_of_games(), POLICIES, WINDOWS, st.lists(st.floats(0.5, 200.0), min_size=1, max_size=3))
+    def test_each_recorded_probability_is_the_winners_form(self, games, policy, window, ks):
+        # The winner's probability is win_probability(r_winner, r_loser), which
+        # 1 - p_a does not always equal to the last bit.
+        first, last = window or (-math.inf, math.inf)
+        cfgs = [dataclasses.replace(CFG, k_factor=k) for k in ks]
+        in_order = ordered(games)
+        for cfg, (_, _, p_winners) in zip(cfgs, replay_arms(games, cfgs, policy, window=(first, last))):
+            expected = []
+            for i, game in enumerate(in_order):
+                if not first <= game.season <= last:
+                    continue
+                before = in_order[:i]
+                ratings = replay(before, cfg, policy).ratings
+                if before and before[-1].season != game.season:
+                    ratings = policy.apply(ratings, cfg.initial_rating)
+                r_winner = ratings.get(game.winner, cfg.initial_rating)
+                expected.append(win_probability(r_winner, ratings.get(game.loser, cfg.initial_rating), cfg))
+            assert p_winners == expected
 
 
 class TestSimulateLeague:
