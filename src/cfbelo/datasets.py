@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 from functools import lru_cache
 from importlib.resources import files
 
@@ -19,6 +18,7 @@ from .engine import Snapshot, SnapshotEntry
 from .ingest import (
     ParsedGames,
     SelectionRecord,
+    _csv_lines,
     load_aliases,
     normalize_team,
     parse_games,
@@ -63,7 +63,7 @@ def bundled_snapshots() -> dict[int, Snapshot]:
     """
     aliases = bundled_aliases()
     by_season: dict[int, list[SnapshotEntry]] = {}
-    reader = csv.DictReader(io.StringIO(_read(SNAPSHOTS_RESOURCE)))
+    reader = csv.DictReader(_csv_lines(_read(SNAPSHOTS_RESOURCE)))
     for row in reader:
         season = int(row["season"])
         by_season.setdefault(season, []).append(

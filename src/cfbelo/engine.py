@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -197,7 +198,7 @@ def replay_arms(
     policy: CarryoverPolicy = CarryoverPolicy.full(),
     cuts: Iterable[dt.date] = (),
     window: tuple[float, float] | None = None,
-) -> list[tuple[RatingState, dict[dt.date, dict[str, float]], list[float]]]:
+) -> list[tuple[RatingState, dict[dt.date, dict[str, float]], array]]:
     """The one replay fold: order the games once and, on each game, update one
     private ratings dict per config (an arm) with one `step` call.
 
@@ -209,12 +210,12 @@ def replay_arms(
     after the games dated on or before it, before any later season's
     carryover; and, for each game whose season lies inside the inclusive
     `window` (none without one), the winner's pre-game win probability
-    `win_probability(r_winner, r_loser, cfg)`, in replay order. Raises
+    `win_probability(r_winner, r_loser, cfg)`, in replay order, in an `array("d")`. Raises
     RatingOverflowError, naming the game, once any arm's rating is not finite.
     """
     games = ordered(games)
     pending = sorted(set(cuts), reverse=True)
-    arms = [({}, {}, cfg, cfg.initial_rating, []) for cfg in cfgs]
+    arms = [({}, {}, cfg, cfg.initial_rating, array("d")) for cfg in cfgs]
     first, last = window or (math.inf, -math.inf)
     current_season: int | None = None
     try:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -59,9 +60,9 @@ def _winner_probabilities(
     cfgs: Sequence[EloConfig],
     policy: CarryoverPolicy,
     eval_window: tuple[int, int] | None,
-) -> list[list[float]]:
+) -> list[array]:
     """One replay for every config: per config, the winner's pre-game win
-    probability for each game inside the eval window, in replay order."""
+    probability for each game inside the eval window, in replay order, in an `array("d")`."""
     window = eval_window or (-math.inf, math.inf)
     return [p_winners for _, _, p_winners in replay_arms(games, cfgs, policy, window=window)]
 
@@ -76,8 +77,8 @@ def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
     return _summary([r.p_winner_pregame for r in records])
 
 
-def _summary(p_winners: list[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
-    """`summarize` over winner probabilities; empty under `eval_window`, no season matched."""
+def _summary(p_winners: Sequence[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
+    """`summarize` over a list or array of winner probabilities; empty under `eval_window`, no season matched."""
     if not p_winners:
         raise ValueError("no predictions to summarize" if eval_window is None else
                          f"eval window {eval_window[0]}..{eval_window[1]} matches no season in the data")

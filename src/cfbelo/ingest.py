@@ -174,6 +174,13 @@ def _flag(cell: str) -> bool | None:
     return {"true": True, "false": False}.get(cell.strip().lower())
 
 
+def _csv_lines(text: str) -> io.TextIOWrapper:
+    """The lines of a CSV text less its BOM, split as io.StringIO(newline="") splits them, read
+    from a UTF-8 copy 8 KiB at a time: a StringIO of the text would hold 4 bytes a character."""
+    data = text.lstrip("\ufeff").encode("utf-8", "surrogatepass")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogatepass", newline="")
+
+
 def parse_games(
     text: str,
     aliases: dict[str, str] | None = None,
@@ -186,7 +193,7 @@ def parse_games(
     same pair (in either orientation) on the same date.
     """
     result = ParsedGames()
-    reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
+    reader = csv.reader(_csv_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -323,13 +330,17 @@ def games_to_csv(games: list[Game]) -> str:
     return out.getvalue()
 
 
+_REPORT_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
+
+
 def rejects_to_csv(rejected: list[RejectedRow]) -> str:
     """One line per rejection: line_number,reason_code,raw_row.
 
-    The raw row is echoed verbatim after the second comma, so consumers
-    should split each line at most twice.
+    The raw row follows the second comma, so consumers should split each line
+    at most twice. It is the row's cells re-joined with commas, CSV quotes dropped
+    ("X, Y" comes back as X, Y), with its backslash, CR and LF written \\\\, \\r and \\n.
     """
-    return "".join(f"{r.line_number},{r.reason},{r.raw}\n" for r in rejected)
+    return "".join(f"{r.line_number},{r.reason},{r.raw.translate(_REPORT_ESCAPES)}\n" for r in rejected)
 
 
 def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[SelectionRecord]:
@@ -340,7 +351,7 @@ def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[S
     naming the season.
     """
     directory = _ResolvedDirectory(aliases)
-    reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
+    reader = csv.reader(_csv_lines(text))
     try:
         header = next(reader)
     except StopIteration:

@@ -222,7 +222,15 @@ class TestOnePassScorer:
                     ratings = policy.apply(ratings, cfg.initial_rating)
                 r_winner = ratings.get(game.winner, cfg.initial_rating)
                 expected.append(win_probability(r_winner, ratings.get(game.loser, cfg.initial_rating), cfg))
-            assert p_winners == expected
+            assert list(p_winners) == expected
+
+    def test_each_arms_probabilities_are_packed_doubles(self):
+        games = parse_games(DEMO_GAMES.read_text(encoding="utf-8")).games
+        cfgs = [CFG, dataclasses.replace(CFG, k_factor=40.0)]
+        scored = sum(2022 <= g.season <= 2023 for g in games)
+        for window, n in ((None, 0), ((2022, 2023), scored)):
+            for _, _, p_winners in replay_arms(games, cfgs, window=window):
+                assert (p_winners.typecode, len(p_winners)) == ("d", n)
 
 
 class TestSimulateLeague:

@@ -4,9 +4,11 @@ import datetime as dt
 import io
 import pickle
 import random
+import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfbelo.datasets import bundled_aliases
@@ -22,6 +24,7 @@ from cfbelo.ingest import (
     REASON_DUPLICATE,
     REASON_SELF_PLAY,
     REASON_TIE,
+    RejectedRow,
     SelectionsError,
     games_to_csv,
     normalize_team,
@@ -352,6 +355,68 @@ class TestParseGamesAgainstOracle:
             assert pickle.loads(pickle.dumps(game)) == game
 
 
+# Names that need CSV quotes or that str.splitlines would break at, non-ASCII
+# names and names holding a lone surrogate.
+ODD_NAMES = [
+    "Doane, Nebraska", 'The "U"', "two\nlines", "cr\rname", "crlf\r\nname", "back\\slash", "Señor Tech",
+    "\U0001f3c8 Bowl", "feed\x0cform", "next\x85line", "sep\u2028line", "lone " + chr(0xD800), chr(0xDC80) + " Tech",
+]
+
+
+def csv_cell(cell):
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+
+
+@st.composite
+def games_texts(draw):
+    """A games file with LF, CRLF and CR line ends mixed, odd team names,
+    sometimes a leading BOM, and sometimes a long first row that puts the rows
+    after it across the 8 KiB chunk the reader decodes at a time."""
+    rows = draw(st.lists(oracle_rows(), max_size=30))
+    for row in rows:
+        for i in (3, 4):
+            if i < len(row) and draw(st.booleans()):
+                row[i] = draw(st.sampled_from(ODD_NAMES))
+    if draw(st.booleans()):
+        long_name = "x" * draw(st.integers(7900, 8200))
+        rows.insert(0, ["2023", "2023-09-02", "1", long_name, "Ohio State", "1", "0", "false"])
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(map(csv_cell, row)) + draw(ends) for row in [GAMES_HEADER, *rows]]
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+
+
+class TestLineSource:
+    @settings(max_examples=150, deadline=None)
+    @given(games_texts(), st.booleans())
+    def test_line_ends_quotes_bom_and_chunk_edges_equal_the_naive_oracle(self, text, allow_duplicates):
+        parsed = parse_games(text, aliases=ALIASES, allow_duplicates=allow_duplicates)
+        games, rejected, warnings = naive_parse_games(text, ALIASES, allow_duplicates)
+        assert parsed.games == games
+        assert [(r.line_number, r.reason, r.raw) for r in parsed.rejected] == rejected
+        assert parsed.warnings == warnings
+
+    def test_transient_peak_stays_under_five_bytes_a_character(self):
+        rng = random.Random(5)
+        teams = [f"Team {i:03d}" for i in range(130)]
+        rows = []
+        for i in range(8000):
+            season = 2014 + i * 10 // 8000
+            a, b = rng.sample(teams, 2)
+            lo = rng.randrange(40)
+            day = dt.date(season, 9, 1) + dt.timedelta(days=rng.randrange(100))
+            rows.append(f"{season},{day},{i % 14 + 1},{a},{b},{lo + rng.randrange(1, 30)},{lo},false")
+        text = rows_to_text(*rows)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            parsed = parse_games(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parsed.games) + len(parsed.rejected) == 8000
+        assert (peak - kept) / len(text) < 5
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         rng = random.Random(31)
@@ -373,6 +438,19 @@ class TestRoundTrip:
         parsed = parse_games(rows_to_text("2023,2023-09-02,1,A,B,21,21,false"))
         line = rejects_to_csv(parsed.rejected).strip()
         assert line == "2,tie,2023,2023-09-02,1,A,B,21,21,false"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(RejectedRow, st.integers(1, 10**6), st.sampled_from([REASON_TIE, REASON_BAD_DATE]),
+                              st.text(st.one_of(st.sampled_from("\\\r\nrn,\""), st.characters())))))
+    @example([RejectedRow(3, REASON_TIE, "2023,2023-09-02,1,Multi\nLine,B,7,7,false")])
+    def test_rejects_report_has_one_line_per_rejection(self, rejected):
+        report = rejects_to_csv(rejected)
+        assert report.count("\n") == len(rejected)
+        unescape = {"\\": "\\", "r": "\r", "n": "\n"}
+        for line, row in zip(report.split("\n"), rejected):
+            number, reason, raw = line.split(",", 2)
+            assert (int(number), reason) == (row.line_number, row.reason)
+            assert re.sub(r"\\(.)", lambda m: unescape[m.group(1)], raw, flags=re.S) == row.raw
 
     def test_quoted_team_names_survive_the_round_trip(self):
         text = rows_to_text('2023,2023-09-02,1,"Doane, Nebraska",Peru State,20,10,false')
