@@ -114,8 +114,10 @@ def _dense_ranks(values: Sequence[float]) -> list[int]:
 
 
 def _season_from_label(label: str) -> int | None:
-    match = re.search(r"\b(\d{4})\b", label)
-    return int(match.group(1)) if match else None
+    # Only a leading year names the season: "as of 2024-01-05" names none, as a
+    # January cut belongs to the season before.
+    match = re.match(r"[0-9]{4}(?=\s|$)", label)
+    return int(match.group()) if match else None
 
 
 def compare(snapshot: Snapshot, selections: Sequence[SelectionRecord]) -> ComparisonReport:

@@ -23,11 +23,11 @@ from .engine import (
     RatingOverflowError,
     Snapshot,
     default_cut_date,
+    default_cuts,
     rank_teams,
     replay,
-    replay_stream,
-    season_end_dates,
     snapshot_at,
+    snapshots_at,
 )
 from .ingest import (
     ParsedGames,
@@ -281,6 +281,10 @@ def _season_of_date(date: dt.date) -> int:
     return date.year if date.month >= 6 else date.year - 1
 
 
+def _board_label(season: int, cut: dt.date) -> str:
+    return f"{season} board as of {cut.isoformat()}"
+
+
 def _synthetic_games(seed: int) -> list[Game]:
     league = evaluation.simulate_league(n_teams=16, n_rounds=40, strength_spread=600.0, seed=seed)
     return league.games
@@ -344,13 +348,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     season = args.season if args.season is not None else _season_of_date(as_of)
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
     snapshot = snapshot_at(
-        parsed.games,
-        as_of,
-        run.cfg,
-        run.policy,
-        top_n=args.top_n,
-        label=f"{season} board as of {as_of.isoformat()}",
-        conferences=datasets.bundled_conferences(),
+        parsed.games, as_of, run.cfg, run.policy, top_n=args.top_n,
+        label=_board_label(season, as_of), conferences=datasets.bundled_conferences(),
     )
     _emit(analysis.render_report(snapshot, run.fmt, selections=selections or None), run.out)
     return 0
@@ -374,39 +373,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     if args.games:
         parsed = _load_games(args, aliases)
-        ends = season_end_dates(parsed.games)
+        defaults = default_cuts(parsed.games)
         wanted = sorted({r.season for r in selections})
-        seasons = [s for s in wanted if s in ends]
-        skipped = [s for s in wanted if s not in ends]
+        seasons = [s for s in wanted if s in defaults]
+        skipped = [str(s) for s in wanted if s not in defaults]
         if skipped:
-            print(
-                f"{PROG}: note: skipping seasons without games: "
-                + ", ".join(str(s) for s in skipped),
-                file=sys.stderr,
-            )
+            print(f"{PROG}: note: skipping seasons without games: {', '.join(skipped)}", file=sys.stderr)
         if not seasons:
             raise CliError("the games file covers none of the selection seasons")
-        if as_of is not None:
-            cuts = {args.season: as_of}
-        else:
-            cuts = {s: ends[s] + dt.timedelta(days=1) for s in seasons}
-        # One fold yields every board. It stops at the latest cut, as
-        # snapshot_at would, so later games cannot add an ordering error.
-        last_cut = max(cuts.values())
-        _, boards = replay_stream(
-            [g for g in parsed.games if g.date <= last_cut], run.cfg, run.policy, cuts.values()
-        )
+        cuts = {s: as_of or defaults[s] for s in seasons}  # --as-of comes with one --season
         # Agreement ranks need the full board; the compare table only --top-n.
         depth = None if args.agreement_report else args.top_n
-        conferences = datasets.bundled_conferences()
-        ranked = {
-            season: Snapshot(
-                label=f"{season} board as of {cut.isoformat()}",
-                as_of=cut,
-                entries=rank_teams(boards[cut], top_n=depth, conferences=conferences),
-            )
-            for season, cut in cuts.items()
-        }
+        boards = snapshots_at(
+            parsed.games, {_board_label(s, cut): cut for s, cut in cuts.items()},
+            run.cfg, run.policy, depth, datasets.bundled_conferences(),
+        )
+        ranked = dict(zip(cuts, boards))
         snapshots = {
             season: replace(snap, entries=snap.top(args.top_n)) for season, snap in ranked.items()
         }

@@ -19,6 +19,7 @@ from .ingest import (
     ParsedGames,
     SelectionRecord,
     _csv_lines,
+    _ResolvedDirectory,
     load_aliases,
     normalize_team,
     parse_games,
@@ -37,8 +38,9 @@ def _read(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def bundled_aliases() -> dict[str, str]:
-    """The bundled alias directory (raw spelling -> canonical team name)."""
-    return load_aliases(_read(ALIASES_RESOURCE))
+    """The bundled alias directory (raw spelling -> canonical team name), with
+    its lookup table built once for every parse that uses it. Read-only."""
+    return _ResolvedDirectory(load_aliases(_read(ALIASES_RESOURCE)))
 
 
 @lru_cache(maxsize=None)

@@ -301,42 +301,58 @@ def snapshot_at(
     label: str | None = None,
     conferences: Mapping[str, str] | None = None,
 ) -> Snapshot:
-    """Replay only games dated on or before as_of and rank the result.
+    """The one-cut case of `snapshots_at`, labeled "as of DATE" unless given a label.
 
-    Never sees games after the cut, so earlier snapshots are unaffected by
-    later seasons being present in the input. A cut before the first game
-    yields an empty snapshot; a top_n beyond the team count returns everyone.
+    A cut before the first game yields an empty snapshot; a top_n beyond the
+    team count returns everyone.
     """
-    visible = [g for g in games if g.date <= as_of]
-    state = replay(visible, cfg, policy)
-    return Snapshot(
-        label=label if label is not None else f"as of {as_of.isoformat()}",
-        as_of=as_of,
-        entries=rank_teams(state.ratings, top_n=top_n, conferences=conferences),
-    )
+    label = label if label is not None else f"as of {as_of.isoformat()}"
+    return snapshots_at(games, {label: as_of}, cfg, policy, top_n, conferences)[0]
 
 
-def season_end_dates(games: Iterable[Game]) -> dict[int, dt.date]:
-    """Last game date per season, keyed by the season field."""
-    ends: dict[int, dt.date] = {}
-    for game in games:
-        if game.season not in ends or game.date > ends[game.season]:
-            ends[game.season] = game.date
-    return ends
+def snapshots_at(
+    games: Iterable[Game],
+    cuts: Mapping[str, dt.date],
+    cfg: EloConfig = EloConfig(),
+    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    top_n: int | None = None,
+    conferences: Mapping[str, str] | None = None,
+) -> list[Snapshot]:
+    """The ranked board at each cut, labeled by its key, in the order of `cuts`.
+
+    One fold over the games dated on or before the latest cut yields every
+    board, so a board never sees games after its cut and later games cannot
+    add an ordering error.
+    """
+    last_cut = max(cuts.values(), default=dt.date.min)
+    _, boards = replay_stream([g for g in games if g.date <= last_cut], cfg, policy, cuts.values())
+    return [
+        Snapshot(label, cut, rank_teams(boards[cut], top_n=top_n, conferences=conferences))
+        for label, cut in cuts.items()
+    ]
 
 
-def default_cut_date(games: Sequence[Game], season: int | None = None) -> dt.date:
-    """Day after the last ingested game of the season (latest season if None).
+def default_cuts(games: Iterable[Game]) -> dict[int, dt.date]:
+    """The day after each season's last game, keyed by the season field.
 
     With a games file that ends each season at the conference championships,
     this is selection day. Files that include postseason games need an
     explicit cut date instead.
     """
-    ends = season_end_dates(games)
-    if not ends:
+    ends: dict[int, dt.date] = {}
+    for game in games:
+        if game.season not in ends or game.date > ends[game.season]:
+            ends[game.season] = game.date
+    return {season: end + dt.timedelta(days=1) for season, end in ends.items()}
+
+
+def default_cut_date(games: Sequence[Game], season: int | None = None) -> dt.date:
+    """The default cut of `season` (the latest season if None)."""
+    cuts = default_cuts(games)
+    if not cuts:
         raise ValueError("no games to derive a cut date from")
     if season is None:
-        season = max(ends)
-    if season not in ends:
+        season = max(cuts)
+    if season not in cuts:
         raise ValueError(f"no games found for season {season}")
-    return ends[season] + dt.timedelta(days=1)
+    return cuts[season]

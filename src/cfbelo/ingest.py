@@ -88,22 +88,21 @@ def _clean(name: str) -> str:
     return re.sub(r"\s+", " ", name.strip())
 
 
-def _lookup_table(directory: dict[str, str] | None) -> dict[str, str]:
-    # Canonical names map to themselves so case/spacing variants of a
-    # canonical name resolve without an explicit alias entry.
-    table: dict[str, str] = {}
-    for alias, canonical in (directory or {}).items():
-        table[_clean(alias).casefold()] = canonical
-        table.setdefault(_clean(canonical).casefold(), canonical)
-    return table
-
-
 class _ResolvedDirectory(dict):
-    """Alias map with a precomputed casefolded lookup table."""
+    """Alias map with a precomputed casefolded lookup table. Canonical names map
+    to themselves so case/spacing variants of one resolve without an alias entry."""
 
     def __init__(self, directory: dict[str, str] | None):
         super().__init__(directory or {})
-        self._table = _lookup_table(directory)
+        self._table: dict[str, str] = {}
+        for alias, canonical in self.items():
+            self._table[_clean(alias).casefold()] = canonical
+            self._table.setdefault(_clean(canonical).casefold(), canonical)
+
+    @classmethod
+    def of(cls, directory: dict[str, str] | None) -> "_ResolvedDirectory":
+        """The directory itself if its table is built, else a resolved copy."""
+        return directory if isinstance(directory, cls) else cls(directory)
 
     def lookup(self, cleaned: str) -> str | None:
         return self._table.get(cleaned.casefold())
@@ -122,8 +121,7 @@ def normalize_team(
     cleaned = _clean(name)
     if not cleaned:
         raise ValueError("team name is empty")
-    table = directory if isinstance(directory, _ResolvedDirectory) else _ResolvedDirectory(directory)
-    hit = table.lookup(cleaned)
+    hit = _ResolvedDirectory.of(directory).lookup(cleaned)
     if hit is not None:
         return hit
     if warnings is not None:
@@ -235,7 +233,7 @@ class _RowValidator:
     distinct cell is stripped and worked out once per parse."""
 
     def __init__(self, aliases: dict[str, str] | None, warnings: list[str]):
-        self._directory = _ResolvedDirectory(aliases)
+        self._directory = _ResolvedDirectory.of(aliases)
         self._warnings = warnings
         # raw cell (a season, for _windows) -> its value, or None if it is not valid
         self._ints: dict[str, int | None] = {}
@@ -350,7 +348,7 @@ def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[S
     1 through 4 and at most one champion. Violations raise SelectionsError
     naming the season.
     """
-    directory = _ResolvedDirectory(aliases)
+    directory = _ResolvedDirectory.of(aliases)
     reader = csv.reader(_csv_lines(text))
     try:
         header = next(reader)
@@ -366,12 +364,10 @@ def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[S
         if len(row) != len(SELECTIONS_HEADER):
             raise SelectionsError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
         season_s, rank_s, team_s, conference_s, champ_s = (c.strip() for c in row)
-        try:
-            season = int(season_s)
-            rank = int(rank_s)
-        except ValueError:
-            raise SelectionsError(f"line {reader.line_num}: bad season or rank") from None
-        if champ_s.lower() not in ("true", "false"):
+        season, rank, champion = _schema_int(season_s), _schema_int(rank_s), _flag(champ_s)
+        if season is None or rank is None:
+            raise SelectionsError(f"line {reader.line_num}: bad season or rank")
+        if champion is None:
             raise SelectionsError(f"line {reader.line_num}: won_championship must be true/false")
         if not team_s or not conference_s:
             raise SelectionsError(f"line {reader.line_num}: empty team or conference")
@@ -381,7 +377,7 @@ def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[S
                 committee_rank=rank,
                 team=normalize_team(team_s, directory),
                 conference=conference_s,
-                won_championship=champ_s.lower() == "true",
+                won_championship=champion,
             )
         )
 

@@ -20,8 +20,8 @@ from cfbelo.analysis import (
     selection_stats,
     spearman_rho,
 )
-from cfbelo.datasets import bundled_selections, bundled_snapshots
-from cfbelo.engine import Snapshot, rank_teams
+from cfbelo.datasets import bundled_selections, bundled_snapshots, sample_games
+from cfbelo.engine import Snapshot, rank_teams, snapshot_at
 from cfbelo.evaluation import EvalSummary
 from cfbelo.ingest import SelectionRecord
 
@@ -88,6 +88,12 @@ class TestCompare:
         snap = bundled_snapshots()[2023]
         unlabeled = Snapshot("final board", snap.as_of, snap.entries)
         report = compare(unlabeled, by_season(2023))
+        assert report.season == 2023
+
+    def test_january_cut_is_not_read_as_next_season(self):
+        # The post-bowl cut of the library flow is labeled "as of 2024-01-05".
+        board = snapshot_at(sample_games().games, dt.date(2024, 1, 5))
+        report = compare(board, by_season(2023))
         assert report.season == 2023
 
     def test_needs_exactly_four_records(self):

@@ -1,8 +1,11 @@
 import datetime as dt
+import json
 
 import pytest
 
+from cfbelo import datasets, ingest
 from cfbelo.datasets import (
+    bundled_aliases,
     bundled_conferences,
     bundled_selections,
     bundled_snapshots,
@@ -89,6 +92,24 @@ class TestAliasesAndConferences:
             load_aliases('["not", "a", "mapping"]')
         with pytest.raises(ValueError):
             load_aliases('{"a": 1}')
+
+    def test_bundled_boards_build_one_alias_table(self, monkeypatch):
+        built = []
+        resolve = ingest._ResolvedDirectory.__init__
+        monkeypatch.setattr(
+            ingest._ResolvedDirectory, "__init__", lambda self, d: built.append(1) or resolve(self, d)
+        )
+        bundled_aliases.cache_clear()
+        bundled_snapshots.cache_clear()
+        try:
+            bundled_snapshots()
+        finally:
+            bundled_aliases.cache_clear()
+            bundled_snapshots.cache_clear()
+        assert len(built) <= 1
+
+    def test_bundled_aliases_equal_the_raw_directory(self):
+        assert bundled_aliases() == json.loads(datasets._read(datasets.ALIASES_RESOURCE))
 
     def test_conference_map_covers_board_teams(self):
         conferences = bundled_conferences()

@@ -18,11 +18,13 @@ from cfbelo.engine import (
     TiedScoreError,
     apply_game,
     default_cut_date,
+    default_cuts,
     ordered,
     rank_teams,
     replay,
     replay_stream,
     snapshot_at,
+    snapshots_at,
 )
 
 from naive_elo import naive_replay, naive_replay_with_boundaries
@@ -287,6 +289,12 @@ class TestDefaultCutDate:
         with pytest.raises(ValueError):
             default_cut_date(games, season=1999)
 
+    def test_errors_name_what_is_missing(self):
+        with pytest.raises(ValueError, match="no games to derive a cut date from"):
+            default_cut_date([])
+        with pytest.raises(ValueError, match="no games found for season 1999"):
+            default_cut_date(winner_loser_games([("A", "B")]), season=1999)
+
 
 POLICIES = st.one_of(
     st.sampled_from([CarryoverPolicy.full(), CarryoverPolicy.reset()]),
@@ -364,3 +372,49 @@ class TestReplayStream:
         cfg = EloConfig(initial_rating=1.7e308, k_factor=1e308)
         with pytest.raises(RatingOverflowError, match=r"by game 1 on 2023-09-09: 'A' is at inf"):
             replay_stream(games, cfg)
+
+
+def season_blocks(games):
+    """Ordered (winner, loser) pairs grouped into season blocks, for the boundary oracle."""
+    return [
+        [(g.winner, g.loser) for g in block]
+        for _, block in itertools.groupby(ordered(games), key=lambda g: g.season)
+    ]
+
+
+class TestSnapshotsAt:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), multi_season_games(), POLICIES, st.none() | st.integers(0, 6))
+    def test_each_board_is_a_snapshot_at_its_cut(self, data, games, policy, top_n):
+        cuts = {f"cut {i}": cut for i, cut in enumerate(sorted(data.draw(cut_dates(games))))}
+        boards = snapshots_at(games, cuts, CFG, policy, top_n)
+        assert [(b.label, b.as_of) for b in boards] == list(cuts.items())
+        for board, (label, cut) in zip(boards, cuts.items()):
+            assert board == snapshot_at(games, cut, CFG, policy, top_n, label)
+            visible = [g for g in games if g.date <= cut]
+            expected = naive_replay_with_boundaries(season_blocks(visible), mode=policy.mode, rho=policy.rho)
+            depth = len(expected) if top_n is None else min(top_n, len(expected))
+            assert [e.elo_rank for e in board.entries] == list(range(1, depth + 1)), label
+            for entry in board.entries:
+                assert entry.rating == pytest.approx(expected[entry.team], abs=1e-9), (label, entry.team)
+
+    def test_no_cuts_no_boards(self):
+        assert snapshots_at(winner_loser_games([("A", "B")]), {}) == []
+
+    def test_games_after_the_latest_cut_are_never_folded(self):
+        # A season decrease after the last cut would be an ordering error.
+        games = winner_loser_games([("A", "B")], season=2023) + [game(2022, "2024-09-01", "C", "D", 1, 0)]
+        [board] = snapshots_at(games, {"2023": dt.date(2023, 12, 1)})
+        assert [e.team for e in board.entries] == ["A", "B"]
+        with pytest.raises(OutOfOrderError):
+            replay(games, CFG)
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_season_games())
+    def test_default_cuts_agree_with_default_cut_date(self, games):
+        cuts = default_cuts(games)
+        assert set(cuts) == {g.season for g in games}
+        for season, cut in cuts.items():
+            assert cut == default_cut_date(games, season)
+            assert cut == max(g.date for g in games if g.season == season) + dt.timedelta(days=1)
+        assert default_cut_date(games) == cuts[max(cuts)]

@@ -526,6 +526,20 @@ class TestParseSelections:
         with pytest.raises(SelectionsError, match="header"):
             parse_selections("a,b,c,d,e\n")
 
+    @pytest.mark.parametrize(
+        "index,row",
+        [
+            (0, "2_019,1,Alpha,Conf,false"),
+            (0, "\u0662\u0660\u0661\u0669,1,Alpha,Conf,false"),
+            (3, "2019,\u0664,Delta,Conf,false"),
+        ],
+    )
+    def test_integers_are_ascii_digits_as_in_games_files(self, index, row):
+        rows = self.full_season(2019)
+        rows[index] = row
+        with pytest.raises(SelectionsError, match=f"line {index + 2}: bad season or rank"):
+            parse_selections(self.make(*rows))
+
     def test_bundled_records_count(self):
         from cfbelo.datasets import bundled_selections
 
