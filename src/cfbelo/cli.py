@@ -194,7 +194,7 @@ def _aliases_from(args: argparse.Namespace) -> dict[str, str]:
         try:
             return load_aliases(_read_file(args.aliases, "alias"))
         except ValueError as exc:
-            raise CliError(f"--aliases: {exc}") from None
+            raise CliError(f"--aliases: {args.aliases}: {exc}") from None
     return datasets.bundled_aliases()
 
 

@@ -1,6 +1,9 @@
 """Core Elo mathematics: expected score and the paired zero-sum rating update.
 
-Pure functions over plain floats. No shared state, safe to call concurrently.
+`kernel` holds the one copy of the formula: it binds a config to a ratings
+dict and plays one game at a time on it, so a kernel shares that dict with
+its caller. The other functions are pure, over plain floats, and go through
+a kernel bound to a dict of their own.
 """
 
 from __future__ import annotations
@@ -8,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 Rating = float
 
@@ -62,25 +66,56 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
+def _saturated(r_a: float, r_b: float, magnitude: float) -> float:
+    # base**exponent overflows double precision past ~1e300, so saturate for
+    # rating gaps that extreme (hundreds of thousands of points at scale 400),
+    # once both ratings are known to be finite.
+    if not (math.isfinite(r_a) and math.isfinite(r_b)):
+        _require_finite(r_a, "r_a")
+        _require_finite(r_b, "r_b")
+    return 0.0 if magnitude > 300.0 else 1.0
+
+
+def kernel(cfg: EloConfig, ratings: dict[str, float]) -> Callable[[str, str, bool, bool], float | None]:
+    """Bind `cfg` once to `ratings` and return `play(a, b, a_won, scored)`, which
+    plays one game: it reads both ratings (a new team starts at
+    cfg.initial_rating), moves A by k * (outcome - p_a) with
+    p_a = 1 / (1 + base ** ((r_b - r_a) / scale)), moves B by the opposite
+    and writes both back. For a scored game it returns the winner's pre-game
+    probability, `win_probability(r_winner, r_loser, cfg)`, never 1 - p_a,
+    which differs in the last bit.
+    """
+    k, scale, base, initial = cfg.k_factor, cfg.scale, cfg.base, cfg.initial_rating
+    log10_base = math.log10(base)
+    get = ratings.get
+
+    def play(a: str, b: str, a_won: bool, scored: bool) -> float | None:
+        r_a = get(a, initial)
+        r_b = get(b, initial)
+        exponent = (r_b - r_a) / scale
+        magnitude = exponent * log10_base
+        # Also false for an inf or NaN, which `_saturated` refuses.
+        inside = -300.0 <= magnitude <= 300.0
+        p_a = 1.0 / (1.0 + base**exponent) if inside else _saturated(r_a, r_b, magnitude)
+        delta_a = k * ((1.0 if a_won else 0.0) - p_a)
+        ratings[a] = r_a + delta_a
+        ratings[b] = r_b - delta_a
+        if not scored or a_won:
+            return p_a if scored else None
+        # (r_a - r_b) / scale is exactly -exponent, so this is win_probability(r_b, r_a).
+        return 1.0 / (1.0 + base**-exponent) if inside else _saturated(r_b, r_a, -magnitude)
+
+    return play
+
+
 def win_probability(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> float:
     """Win probability of side A against side B given their current ratings.
 
     p_a = 1 / (1 + base ** ((r_b - r_a) / scale)), strictly increasing in
-    r_a - r_b and invariant under shifting both ratings by a constant. This is
-    the package's one copy of the formula; every other caller goes through it.
+    r_a - r_b and invariant under shifting both ratings by a constant, from
+    `kernel`. Saturates to 0 or 1 for gaps whose odds overflow a double.
     """
-    if not (math.isfinite(r_a) and math.isfinite(r_b)):
-        _require_finite(r_a, "r_a")
-        _require_finite(r_b, "r_b")
-    exponent = (r_b - r_a) / cfg.scale
-    # base**exponent overflows double precision past ~1e300, so saturate for
-    # rating gaps that extreme (hundreds of thousands of points at scale 400).
-    magnitude = exponent * math.log10(cfg.base)
-    if magnitude > 300.0:
-        return 0.0
-    if magnitude < -300.0:
-        return 1.0
-    return 1.0 / (1.0 + cfg.base**exponent)
+    return kernel(cfg, {"a": r_a, "b": r_b})("a", "b", True, True)
 
 
 def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> MatchExpectation:
@@ -89,16 +124,16 @@ def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> Ma
 
 
 def step(r_a: Rating, r_b: Rating, a_won: bool, cfg: EloConfig = EloConfig()) -> tuple[float, Rating, Rating]:
-    """Side A's pre-game win probability and both post-game ratings.
+    """Side A's pre-game win probability and both post-game ratings; see `kernel`.
 
     Each side moves by k * (outcome - expectation). The winner gains what the
     loser drops, so the rating sum is conserved, and the step magnitude is
-    strictly below k for finite inputs. This is the package's one copy of the
-    update rule.
+    strictly below k for finite inputs.
     """
-    p_a = win_probability(r_a, r_b, cfg)
-    delta_a = cfg.k_factor * ((1.0 if a_won else 0.0) - p_a)
-    return p_a, r_a + delta_a, r_b - delta_a
+    ratings = {"a": r_a, "b": r_b}
+    p_winner = kernel(cfg, ratings)("a", "b", a_won, True)
+    p_a = p_winner if a_won else win_probability(r_a, r_b, cfg)
+    return p_a, ratings["a"], ratings["b"]
 
 
 def update_pair(

@@ -1,7 +1,8 @@
 """Season replay: fold games through the Elo update, snapshot at cut dates.
 
 Replay is order-sensitive and therefore sequential. Every replay in the
-package is one pass of `replay_stream`; the state objects it returns are
+package is one pass of `replay_arms`, which advances one ratings dict per
+config through that config's `elo.kernel`; the state objects it returns are
 values that share nothing with the fold.
 """
 
@@ -10,10 +11,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from array import array
+from bisect import bisect_right
+from itertools import compress, count, islice, pairwise
+from operator import attrgetter, ne
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .elo import EloConfig, step, win_probability
+from .elo import EloConfig, kernel, step
 
 UNKNOWN_CONFERENCE = "Unknown"
 
@@ -178,7 +182,7 @@ def apply_game(state: RatingState, game: Game, cfg: EloConfig = EloConfig()) -> 
 
 def ordered(games: Iterable[Game]) -> list[Game]:
     """Stable sort by date; same-day games keep their ingest sequence."""
-    return sorted(games, key=lambda g: g.date)
+    return sorted(games, key=attrgetter("date"))
 
 
 def replay_stream(
@@ -200,7 +204,7 @@ def replay_arms(
     window: tuple[float, float] | None = None,
 ) -> list[tuple[RatingState, dict[dt.date, dict[str, float]], array]]:
     """The one replay fold: order the games once and, on each game, update one
-    private ratings dict per config (an arm) with one `step` call.
+    private ratings dict per config (an arm) through that arm's `kernel`.
 
     The carryover policy fires when the season field increases; boundaries are
     never inferred from date gaps. A season decrease along the date order is
@@ -214,46 +218,50 @@ def replay_arms(
     RatingOverflowError, naming the game, once any arm's rating is not finite.
     """
     games = ordered(games)
-    pending = sorted(set(cuts), reverse=True)
-    arms = [({}, {}, cfg, cfg.initial_rating, array("d")) for cfg in cfgs]
+    arms = [({}, {}, array("d")) for _ in cfgs]
+    plays = [(kernel(cfg, ratings), p_winners.append) for cfg, (ratings, _, p_winners) in zip(cfgs, arms)]
     first, last = window or (math.inf, -math.inf)
-    current_season: int | None = None
+    # Where the fold pauses: at each season change and at the first game
+    # after each cut. Between two stops every game is a plain kernel call.
+    season = attrgetter("season")
+    changes = compress(count(1), map(ne, map(season, games), map(season, islice(games, 1, None))))
+    due: dict[int, list[dt.date]] = {}
+    for cut in sorted(set(cuts)):
+        due.setdefault(bisect_right(games, cut, key=attrgetter("date")), []).append(cut)
+    stops = sorted({0, len(games), *changes, *due})
+    rest = iter(games)
     try:
-        for index, game in enumerate(games):
-            while pending and pending[-1] < game.date:
-                cut = pending.pop()
-                for ratings, boards, *_ in arms:
+        for start, end in pairwise(stops):
+            index = start
+            for cut in due.get(start, ()):
+                for ratings, boards, _ in arms:
                     boards[cut] = dict(ratings)
-            if current_season is not None and game.season != current_season:
-                if game.season < current_season:
-                    raise OutOfOrderError(
-                        f"game {index}: season {game.season} follows season {current_season}"
-                    )
-                for ratings, _, _, initial, _ in arms:
-                    ratings.update(policy.apply(ratings, initial))
-            current_season = game.season
-            scored = first <= current_season <= last
-            a, b = game.team_a, game.team_b
-            a_won = game.score_a > game.score_b
-            for ratings, _, cfg, initial, p_winners in arms:
-                r_a = ratings.get(a, initial)
-                r_b = ratings.get(b, initial)
-                p_a, ratings[a], ratings[b] = step(r_a, r_b, a_won, cfg)
-                if scored:
-                    p_winners.append(p_a if a_won else win_probability(r_b, r_a, cfg))
-    except ValueError:  # win_probability refuses a rating that is no longer finite
+            current = games[start].season
+            if start and current != (previous := games[start - 1].season):
+                if current < previous:
+                    raise OutOfOrderError(f"game {start}: season {current} follows season {previous}")
+                for (ratings, _, _), cfg in zip(arms, cfgs):
+                    ratings.update(policy.apply(ratings, cfg.initial_rating))
+            scored = first <= current <= last
+            for index, game in enumerate(islice(rest, end - start), start):
+                a, b, a_won = game.team_a, game.team_b, game.score_a > game.score_b
+                for play, append in plays:
+                    p_winner = play(a, b, a_won, scored)
+                    if scored:
+                        append(p_winner)
+    except ValueError:  # a kernel refuses a rating that is no longer finite
         for ratings, *_ in arms:
-            _require_finite(ratings, f"by game {index} on {game.date}")
+            _require_finite(ratings, f"by game {index} on {games[index].date}")
         raise
     last_date = games[-1].date if games else None
-    for ratings, boards, *_ in arms:
-        for cut in pending:
+    for ratings, boards, _ in arms:
+        for cut in due.get(len(games), ()):
             boards[cut] = dict(ratings)
-        # An overflow in a team's last game never reaches win_probability.
+        # An overflow in a team's last game is never read by a kernel.
         _require_finite(ratings, f"after game {len(games) - 1} on {last_date}")
         for cut, board in boards.items():
             _require_finite(board, f"at the cut on {cut}")
-    return [(RatingState(ratings, len(games), last_date), boards, p) for ratings, boards, _, _, p in arms]
+    return [(RatingState(ratings, len(games), last_date), boards, p) for ratings, boards, p in arms]
 
 
 def _require_finite(ratings: Mapping[str, float], where: str) -> None:

@@ -146,6 +146,8 @@ def simulate_league(
     strengths = {team: lo + i * step for i, team in enumerate(teams)}
 
     pairings = [(a, b) for i, a in enumerate(teams) for b in teams[i + 1 :]]
+    # Strengths never change, so each pairing's odds are worked out once.
+    odds = {(a, b): win_probability(strengths[a], strengths[b], cfg) for a, b in pairings}
     start = dt.date(season, 9, 1)
     # Rounds spread across September..December so dates stay inside a
     # plausible season window however many rounds are asked for.
@@ -157,8 +159,7 @@ def simulate_league(
         round_pairs = pairings[:]
         rng.shuffle(round_pairs)
         for team_a, team_b in round_pairs:
-            p_a = win_probability(strengths[team_a], strengths[team_b], cfg)
-            a_wins = rng.random() < p_a
+            a_wins = rng.random() < odds[team_a, team_b]
             loser_points = rng.randrange(0, 31)
             winner_points = loser_points + rng.randrange(1, 22)
             games.append(

@@ -13,6 +13,8 @@ import io
 import json
 import re
 from dataclasses import dataclass, field, fields
+from itertools import islice
+from typing import Iterator
 
 from .engine import Game
 
@@ -41,6 +43,10 @@ REASON_SELF_PLAY = "self_play"
 REASON_TIE = "tie"
 REASON_DUPLICATE = "duplicate"
 REASON_DATE_OUT_OF_SEASON = "date_out_of_season"
+REASON_FIELD_TOO_LARGE = "field_too_large"
+
+# Rows of `ingest --format csv` written per piece.
+CSV_CHUNK = 2048
 
 
 class SelectionsError(ValueError):
@@ -76,7 +82,10 @@ class ParsedGames:
 
 def load_aliases(text: str) -> dict[str, str]:
     """Parse an alias directory: a JSON object of alias -> canonical name."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
@@ -188,13 +197,17 @@ def parse_games(
 
     Every invalid row lands in the reject report with its line number and a
     machine-readable reason code. A duplicate is a second game between the
-    same pair (in either orientation) on the same date.
+    same pair (in either orientation) on the same date. A row with a cell past
+    the csv module's field limit is rejected without its raw text.
     """
     result = ParsedGames()
     reader = csv.reader(_csv_lines(text))
     try:
         header = next(reader)
     except StopIteration:
+        return result
+    except csv.Error:  # a cell past the field limit
+        result.rejected.append(RejectedRow(reader.line_num, REASON_FIELD_TOO_LARGE, ""))
         return result
     if [h.strip() for h in header] != GAMES_HEADER:
         result.rejected.append(
@@ -204,20 +217,27 @@ def parse_games(
 
     validator = _RowValidator(aliases, result.warnings)
     seen_pairs: set[tuple[dt.date, str, str]] = set()
-    for row in reader:
-        game = validator.validate(row)
-        if isinstance(game, str):
-            # A blank row of any width fails before anything is recorded: skip it.
-            if any(map(str.strip, row)):
-                result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
-            continue
-        a, b = game.team_a, game.team_b
-        key = (game.date, a, b) if a < b else (game.date, b, a)
-        if not allow_duplicates and key in seen_pairs:
-            result.rejected.append(RejectedRow(reader.line_num, REASON_DUPLICATE, ",".join(row)))
-            continue
-        seen_pairs.add(key)
-        result.games.append(game)
+    while True:
+        # A cell past the field limit ends the `for` with csv.Error; the
+        # reader goes on from the next line, so the loop is entered again.
+        try:
+            for row in reader:
+                game = validator.validate(row)
+                if isinstance(game, str):
+                    # A blank row of any width fails before anything is recorded: skip it.
+                    if any(map(str.strip, row)):
+                        result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
+                    continue
+                a, b = game.team_a, game.team_b
+                key = (game.date, a, b) if a < b else (game.date, b, a)
+                if not allow_duplicates and key in seen_pairs:
+                    result.rejected.append(RejectedRow(reader.line_num, REASON_DUPLICATE, ",".join(row)))
+                    continue
+                seen_pairs.add(key)
+                result.games.append(game)
+            break
+        except csv.Error:
+            result.rejected.append(RejectedRow(reader.line_num, REASON_FIELD_TOO_LARGE, ""))
 
     result.games.sort(key=lambda g: g.date)  # stable: same-day keeps file order
     return result
@@ -296,36 +316,40 @@ class _RowValidator:
         return game
 
 
-def games_to_csv(games: list[Game]) -> str:
-    """Serialize games back to the canonical CSV schema.
+def games_to_csv(games: list[Game]) -> Iterator[str]:
+    """The games in the canonical CSV schema, in pieces of the header or
+    CSV_CHUNK rows, each written only when it is asked for.
 
     Weeks are not tracked by the engine, so the week column is derived from
     the position of each game's date within its season (7-day buckets from
     the season's first game).
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(GAMES_HEADER)
     season_starts: dict[int, dt.date] = {}
     for game in games:
         first = season_starts.get(game.season)
         if first is None or game.date < first:
             season_starts[game.season] = game.date
-    for game in games:
-        week = (game.date - season_starts[game.season]).days // 7 + 1
-        writer.writerow(
-            [
-                game.season,
-                game.date.isoformat(),
-                week,
-                game.team_a,
-                game.team_b,
-                game.score_a,
-                game.score_b,
-                "true" if game.neutral_site else "false",
-            ]
-        )
-    return out.getvalue()
+    rows = (
+        [
+            game.season,
+            game.date.isoformat(),
+            (game.date - season_starts[game.season]).days // 7 + 1,
+            game.team_a,
+            game.team_b,
+            game.score_a,
+            game.score_b,
+            "true" if game.neutral_site else "false",
+        ]
+        for game in games
+    )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(GAMES_HEADER)
+    while piece := out.getvalue():
+        yield piece
+        out.seek(0)
+        out.truncate()
+        writer.writerows(islice(rows, CSV_CHUNK))
 
 
 _REPORT_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
@@ -350,36 +374,37 @@ def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[S
     """
     directory = _ResolvedDirectory.of(aliases)
     reader = csv.reader(_csv_lines(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if [h.strip() for h in header] != SELECTIONS_HEADER:
-        raise SelectionsError(f"bad selections header: {','.join(header)!r}")
-
     records: list[SelectionRecord] = []
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(SELECTIONS_HEADER):
-            raise SelectionsError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
-        season_s, rank_s, team_s, conference_s, champ_s = (c.strip() for c in row)
-        season, rank, champion = _schema_int(season_s), _schema_int(rank_s), _flag(champ_s)
-        if season is None or rank is None:
-            raise SelectionsError(f"line {reader.line_num}: bad season or rank")
-        if champion is None:
-            raise SelectionsError(f"line {reader.line_num}: won_championship must be true/false")
-        if not team_s or not conference_s:
-            raise SelectionsError(f"line {reader.line_num}: empty team or conference")
-        records.append(
-            SelectionRecord(
-                season=season,
-                committee_rank=rank,
-                team=normalize_team(team_s, directory),
-                conference=conference_s,
-                won_championship=champion,
+    try:
+        header = next(reader, None)
+        if header is None:
+            return []
+        if [h.strip() for h in header] != SELECTIONS_HEADER:
+            raise SelectionsError(f"bad selections header: {','.join(header)!r}")
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(SELECTIONS_HEADER):
+                raise SelectionsError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
+            season_s, rank_s, team_s, conference_s, champ_s = (c.strip() for c in row)
+            season, rank, champion = _schema_int(season_s), _schema_int(rank_s), _flag(champ_s)
+            if season is None or rank is None:
+                raise SelectionsError(f"line {reader.line_num}: bad season or rank")
+            if champion is None:
+                raise SelectionsError(f"line {reader.line_num}: won_championship must be true/false")
+            if not team_s or not conference_s:
+                raise SelectionsError(f"line {reader.line_num}: empty team or conference")
+            records.append(
+                SelectionRecord(
+                    season=season,
+                    committee_rank=rank,
+                    team=normalize_team(team_s, directory),
+                    conference=conference_s,
+                    won_championship=champion,
+                )
             )
-        )
+    except csv.Error as exc:  # a cell past the field limit
+        raise SelectionsError(f"line {reader.line_num}: {exc}") from None
 
     _check_selection_invariants(records)
     records.sort(key=lambda r: (r.season, r.committee_rank))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbelo import analysis, cli, datasets, engine
+from cfbelo import analysis, cli, datasets, engine, ingest
 from cfbelo.analysis import JSON_CHUNK, reference_agreement, render_agreement
 from cfbelo.cli import main
 from cfbelo.engine import Game, snapshot_at
@@ -51,8 +51,22 @@ def count_calls(monkeypatch, name):
 
 
 def count_updates(monkeypatch):
-    """Count the rating updates the replay fold makes; returns a one-item list."""
-    return count_calls(monkeypatch, "step")
+    """Count the rating updates the replay fold makes, one per game played by
+    any arm's kernel; returns a one-item list."""
+    calls = [0]
+    real = engine.kernel
+
+    def counted_kernel(cfg, ratings):
+        play = real(cfg, ratings)
+
+        def counted(*args):
+            calls[0] += 1
+            return play(*args)
+
+        return counted
+
+    monkeypatch.setattr(engine, "kernel", counted_kernel)
+    return calls
 
 
 def run(capsys, *argv):
@@ -262,6 +276,56 @@ class TestIngest:
             tracemalloc.stop()
         assert peak < target.stat().st_size / 3
 
+    def test_csv_output_memory_does_not_grow_with_the_document(self, monkeypatch, tmp_path):
+        # Writing the whole document in one buffer peaked at about three
+        # times the document. The csv writer's first row takes a fixed
+        # 128 KiB, so the document is made large enough to dwarf it.
+        monkeypatch.setattr(ingest, "CSV_CHUNK", 256)
+        games = [
+            Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
+            for i in range(80 * 256)
+        ]
+        target = tmp_path / "games.csv"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._render_games(games, "csv"), target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size / 3
+
+
+class TestOverLongInput:
+    """Inputs past a parser's size limit are bad input (exit 1) or a rejected
+    row, never an internal error."""
+
+    def test_over_long_games_cell_is_a_rejected_row(self, capsys, tmp_path):
+        games = tmp_path / "big.csv"
+        games.write_text(
+            THREE_GAME_FIXTURE + f"2023,2023-09-23,4,{'X' * 131_073},Busyton,21,7,false\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, "rate", "--games", str(games))
+        assert code == 0
+        assert "final ratings after 3 games" in out
+        assert err.endswith("cfbelo: rejected 1 row(s):\n5,field_too_large,\n")
+
+    def test_over_long_selections_cell_exits_one_naming_the_line(self, capsys, tmp_path):
+        selections = tmp_path / "picks.csv"
+        selections.write_text(
+            f"season,committee_rank,team,conference,won_championship\n2023,1,{'X' * 131_073},SEC,true\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "stats", "--selections", str(selections))
+        assert (code, out) == (1, "")
+        assert err == "cfbelo: error: --selections: line 2: field larger than field limit (131072)\n"
+
+    def test_deeply_nested_alias_json_exits_one_naming_the_file(self, capsys, tmp_path):
+        aliases = tmp_path / "deep.json"
+        aliases.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "rate", "--aliases", str(aliases))
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: --aliases: {aliases}: JSON nested too deeply to parse\n"
+
 
 class TestRate:
     def test_three_game_fixture_matches_oracle(self, capsys, three_games):
@@ -428,6 +492,20 @@ class TestSweepCommand:
         assert len(json.loads(out)) == 5
         assert calls[0] == 1
 
+    def test_overflow_names_the_first_game_any_arm_fails_on(self, capsys):
+        # Alone, K = 3.3e307 first reads an overflowed rating at game 74 and
+        # K = 5.4e307 at game 30, both in 2021. The arms advance game by game
+        # together, so the sweep stops at game 30 whatever the order of the K values.
+        message = (
+            "cfbelo: error: rating overflow by game 30 on 2021-09-25: 'Tennessee' is at inf; "
+            "check --k, --initial and --scale\n"
+        )
+        for k_values in (("3.3e307", "5.4e307"), ("5.4e307", "3.3e307")):
+            argv = ["sweep", "--games", DEMO_GAMES, "--initial", "1e308"]
+            for k in k_values:
+                argv += ["--k", k]
+            assert run(capsys, *argv) == (1, "", message)
+
     def test_one_overflowing_k_fails_the_sweep_naming_the_flags(self, capsys):
         code, out, err = run(capsys, "sweep", "--games", DEMO_GAMES, "--k", "25", "--k", "1e308")
         assert code == 1
@@ -550,7 +628,8 @@ COMMAND_FLAGS = {
 @st.composite
 def games_files(draw):
     """A games file of mostly valid rows over two seasons, as UTF-8 bytes,
-    sometimes with a byte that is not UTF-8."""
+    sometimes with a byte that is not UTF-8, a cell at or past csv's field
+    limit, or points past int()'s digit limit."""
     rows = [GAMES_HEADER]
     for _ in range(draw(st.integers(0, 12))):
         season = draw(st.sampled_from([2022, 2023]))
@@ -559,24 +638,29 @@ def games_files(draw):
         points = draw(st.sampled_from(["21,7", "7,21", "10,3", "14,14", "x,3"]))
         rows.append(f"{season},{day},1,{home},{away},{points},false")
     data = ("\n".join(rows) + "\n").encode("utf-8")
-    return data + draw(st.sampled_from([b""] * 9 + [b"\xff"]))
+    long_row = b"2023,2023-09-02,1,%s,Georgia,21,7,false\n"
+    tails = [b""] * 9 + [b"\xff", long_row % (b"X" * 131_072), long_row % (b"X" * 131_073)]
+    tails.append(b"2023,2023-09-02,1,Texas,Georgia,%s,7,false\n" % (b"9" * 5_000))
+    return data + draw(st.sampled_from(tails))
 
 
 @st.composite
 def selections_files(draw):
-    """Four picks per season, or a broken file: a pick short, garbage, or not UTF-8."""
+    """Four picks per season, or a broken file: a pick short, garbage, a cell
+    past csv's field limit, or not UTF-8."""
     rows = ["season,committee_rank,team,conference,won_championship"]
     for season in (2022, 2023):
         picks = draw(st.permutations(TEAMS))[:4]
         rows += [f"{season},{rank},{team},Conf,{'true' if rank == 1 else 'false'}" for rank, team in enumerate(picks, 1)]
     text = "\n".join(rows) + "\n"
-    broken = {"short": text.rsplit("\n", 2)[0] + "\n", "garbage": "a,b\n1,2\n"}
-    choice = draw(st.sampled_from(["valid"] * 12 + ["short", "garbage", "bytes"]))
+    broken = {"short": text.rsplit("\n", 2)[0] + "\n", "garbage": "a,b\n1,2\n", "long": text + "X" * 131_073}
+    choice = draw(st.sampled_from(["valid"] * 12 + ["short", "garbage", "long", "bytes"]))
     return b"\xfe\xff" if choice == "bytes" else broken.get(choice, text).encode("utf-8")
 
 
 ALIAS_FILES = st.sampled_from(
-    [b'{"Ohio St": "Ohio State", "UGA": "Georgia"}'] * 3 + [b"{}", b"[1, 2]", b'{"a": 1}', b"{", b"\xff\xfe"]
+    [b'{"Ohio St": "Ohio State", "UGA": "Georgia"}'] * 3
+    + [b"{}", b"[1, 2]", b'{"a": 1}', b"{", b"\xff\xfe", b"[" * 100_000]
 )
 
 
@@ -612,6 +696,31 @@ class TestCliProperties:
             first, second = run_quietly(argv), run_quietly(argv)
         assert first[0] in (0, 1), argv
         assert first == second, argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        games_files(),
+        st.lists(st.sampled_from(["5", "25", "100", "1e-9", "333.3"]), min_size=1, max_size=4),
+        st.sampled_from(["full", "reset", "regress:0.5", "regress:0"]),
+        st.sampled_from([None, "2022..2022", "2023..2023", "2021..2023", "2024..2025"]),
+    )
+    def test_each_sweep_row_is_the_backtest_with_its_k(self, games, k_values, carryover, window):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "games.csv"
+            path.write_bytes(games)
+            common = ["--games", str(path), "--carryover", carryover, "--format", "json"]
+            common += ["--eval-window", window] if window else []
+            code, out = run_quietly(["sweep", *common, *(f"--k={k}" for k in k_values)])
+            backtests = [run_quietly(["backtest", *common, f"--k={k}"]) for k in k_values]
+        if code == 1:  # not UTF-8, no valid games, or no game in the window
+            assert {c for c, _ in backtests} == {1}
+            return
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == len(k_values)
+        for row, k, (b_code, b_out) in zip(rows, k_values, backtests):
+            assert b_code == 0
+            assert row == {"k": float(k), **json.loads(b_out)}
 
     @settings(max_examples=60, deadline=None)
     @given(games_files())

@@ -1,8 +1,12 @@
+import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfbelo.elo import EloConfig, Winner, expected_score, update_pair, win_probability
+from cfbelo.elo import EloConfig, Winner, expected_score, kernel, step, update_pair, win_probability
 
 from naive_elo import naive_expected
 
@@ -153,3 +157,96 @@ class TestEloConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EloConfig(**kwargs)
+
+
+# The formula and update rule as they read before `kernel` existed, kept as
+# the reference the kernel must match bit for bit.
+def reference_win_probability(r_a, r_b, cfg):
+    for value, name in ((r_a, "r_a"), (r_b, "r_b")):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite rating, got {float(value)!r}")
+    exponent = (r_b - r_a) / cfg.scale
+    magnitude = exponent * math.log10(cfg.base)
+    if magnitude > 300.0:
+        return 0.0
+    if magnitude < -300.0:
+        return 1.0
+    return 1.0 / (1.0 + cfg.base**exponent)
+
+
+def reference_step(r_a, r_b, a_won, cfg):
+    p_a = reference_win_probability(r_a, r_b, cfg)
+    delta_a = cfg.k_factor * ((1.0 if a_won else 0.0) - p_a)
+    return p_a, r_a + delta_a, r_b - delta_a
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+CONFIGS = st.builds(
+    EloConfig,
+    initial_rating=st.just(1500.0),
+    k_factor=st.sampled_from([25.0, 5.0, 100.0, 1e-9, 1e308]),
+    scale=st.sampled_from([400.0, 173.0, 1e-300]),
+    base=st.sampled_from([10.0, 2.5, math.e]),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rating_pairs(draw):
+    """Two ratings: any finite pair, a gap at or a few ulps around the edge
+    where the odds saturate, or a pair with an inf or NaN on either side."""
+    cfg = draw(CONFIGS)
+    kind = draw(st.sampled_from(["finite", "edge", "edge", "non-finite"]))
+    if kind == "finite":
+        return cfg, draw(FINITE), draw(FINITE)
+    if kind == "edge":
+        r_a = draw(st.floats(-1e6, 1e6))
+        gap = draw(st.sampled_from([-300.0, 300.0])) * cfg.scale / math.log10(cfg.base)
+        for _ in range(draw(st.integers(-3, 3))):
+            gap = math.nextafter(gap, math.inf)
+        return cfg, r_a, r_a + gap
+    pair = [draw(FINITE), draw(st.sampled_from([math.nan, math.inf, -math.inf]))]
+    if draw(st.booleans()):
+        pair.reverse()
+    if draw(st.booleans()):
+        pair[0] = pair[1]
+    return cfg, *pair
+
+
+class TestKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(rating_pairs(), st.booleans(), st.booleans())
+    def test_kernel_is_bit_equal_to_the_reference_step(self, drawn, a_won, scored):
+        cfg, r_a, r_b = drawn
+        ratings = {"A": r_a, "B": r_b}
+        play = kernel(cfg, ratings)
+        try:
+            expected = reference_step(r_a, r_b, a_won, cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                play("A", "B", a_won, scored)
+            assert str(raised.value) == str(exc)
+            with pytest.raises(ValueError) as raised:
+                step(r_a, r_b, a_won, cfg)
+            assert str(raised.value) == str(exc)
+            assert bits(ratings["A"]) == bits(r_a) and bits(ratings["B"]) == bits(r_b)
+            return
+        p_a, new_a, new_b = expected
+        p_winner = play("A", "B", a_won, scored)
+        assert bits(ratings["A"]) == bits(new_a) and bits(ratings["B"]) == bits(new_b)
+        if scored:
+            # The winner's own form, never 1 - p_a.
+            assert bits(p_winner) == bits(p_a if a_won else reference_win_probability(r_b, r_a, cfg))
+        else:
+            assert p_winner is None
+        assert list(map(bits, step(r_a, r_b, a_won, cfg))) == list(map(bits, expected))
+        assert bits(win_probability(r_a, r_b, cfg)) == bits(p_a)
+
+    def test_unplayed_teams_start_at_the_initial_rating(self):
+        cfg = EloConfig(initial_rating=1000.0)
+        ratings = {}
+        assert kernel(cfg, ratings)("A", "B", True, True) == 0.5
+        assert ratings == {"A": 1012.5, "B": 987.5}

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfbelo import ingest
 from cfbelo.datasets import bundled_aliases
 from cfbelo.engine import Game, TiedScoreError
 from cfbelo.ingest import (
@@ -22,6 +23,7 @@ from cfbelo.ingest import (
     REASON_BAD_WEEK,
     REASON_DATE_OUT_OF_SEASON,
     REASON_DUPLICATE,
+    REASON_FIELD_TOO_LARGE,
     REASON_SELF_PLAY,
     REASON_TIE,
     RejectedRow,
@@ -148,6 +150,44 @@ class TestParseGames:
         parsed = parse_games(rows_to_text("2023,2023-09-02,1,Weber State,Idaho,21,24,false"))
         assert parsed.games[0].team_a == "Weber State"
         assert any("Weber State" in w for w in parsed.warnings)
+
+
+class TestFieldLimit:
+    """csv's default field limit is 131,072 characters; a longer cell is one
+    bad row, and csv.field_size_limit stays as it is."""
+
+    LIMIT = 131_072
+
+    def test_an_over_long_cell_rejects_its_row_and_parsing_goes_on(self):
+        text = rows_to_text(
+            "2023,2023-09-02,1,A,B,21,7,false",
+            f"2023,2023-09-09,2,{'X' * (self.LIMIT + 1)},B,21,7,false",
+            f'2023,2023-09-16,3,A,"{"Y" * (self.LIMIT + 1)}\nstill the cell",21,7,false',
+            f"2023,2023-09-23,4,{'Z' * self.LIMIT},B,21,7,false",
+        )
+        parsed = parse_games(text)
+        assert parsed.rejected[:2] == [
+            RejectedRow(3, REASON_FIELD_TOO_LARGE, ""),
+            RejectedRow(4, REASON_FIELD_TOO_LARGE, ""),
+        ]
+        # The reader goes on at the next line, inside the broken quoted cell.
+        assert [r.reason for r in parsed.rejected[2:]] == ["field_count"]
+        assert [g.team_a for g in parsed.games] == ["A", "Z" * self.LIMIT]
+        assert csv.field_size_limit() == self.LIMIT
+
+    def test_an_over_long_header_cell_rejects_the_header(self):
+        parsed = parse_games("X" * (self.LIMIT + 1) + "\n2023,2023-09-02,1,A,B,21,7,false\n")
+        assert parsed.games == []
+        assert parsed.rejected == [RejectedRow(1, REASON_FIELD_TOO_LARGE, "")]
+
+    @pytest.mark.parametrize("row", [2, 3])
+    def test_an_over_long_selections_cell_names_its_line(self, row):
+        rows = ["season,committee_rank,team,conference,won_championship"] + [
+            f"2023,{rank},Team {rank},Conf,false" for rank in range(1, 5)
+        ]
+        rows[row - 1] = f"2023,{row - 1},{'X' * (self.LIMIT + 1)},Conf,false"
+        with pytest.raises(SelectionsError, match=f"line {row}: field larger than field limit"):
+            parse_selections("\n".join(rows) + "\n")
 
 
 class TestStrictRows:
@@ -430,7 +470,7 @@ class TestRoundTrip:
             rows.append(f"2023,{date + dt.timedelta(days=i % 90)},{i % 14 + 1},{a},{b},{hi},{lo},{'true' if i % 7 == 0 else 'false'}")
         first = parse_games(rows_to_text(*rows))
         assert not first.rejected
-        second = parse_games(games_to_csv(first.games))
+        second = parse_games("".join(games_to_csv(first.games)))
         assert second.games == first.games
         assert not second.rejected
 
@@ -452,11 +492,27 @@ class TestRoundTrip:
             assert (int(number), reason) == (row.line_number, row.reason)
             assert re.sub(r"\\(.)", lambda m: unescape[m.group(1)], raw, flags=re.S) == row.raw
 
+    @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
+    def test_csv_pieces_join_to_the_whole_document(self, monkeypatch, count):
+        # Chunk edges at 0, 1, C-1, C, C+1 and 2C+1 rows with C = 4.
+        monkeypatch.setattr(ingest, "CSV_CHUNK", 4)
+        games = parse_games(
+            rows_to_text(*(f"2023,{dt.date(2023, 9, 2) + dt.timedelta(days=3 * i)},1,A{i},B,21,7,false" for i in range(count)))
+        ).games
+        pieces = list(games_to_csv(games))
+        assert len(pieces) == 1 + -(-count // 4)
+        whole = io.StringIO()
+        writer = csv.writer(whole, lineterminator="\n")
+        writer.writerow(GAMES_HEADER)
+        for i, game in enumerate(games):
+            writer.writerow([2023, game.date.isoformat(), 3 * i // 7 + 1, game.team_a, "B", 21, 7, "false"])
+        assert "".join(pieces) == whole.getvalue()
+
     def test_quoted_team_names_survive_the_round_trip(self):
         text = rows_to_text('2023,2023-09-02,1,"Doane, Nebraska",Peru State,20,10,false')
         first = parse_games(text)
         assert first.games[0].team_a == "Doane, Nebraska"
-        second = parse_games(games_to_csv(first.games))
+        second = parse_games("".join(games_to_csv(first.games)))
         assert second.games == first.games
 
 
