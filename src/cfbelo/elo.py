@@ -59,20 +59,13 @@ class MatchExpectation:
         return 1.0 - self.p_a
 
 
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite rating, got {value!r}")
-    return value
-
-
 def _saturated(r_a: float, r_b: float, magnitude: float) -> float:
     # base**exponent overflows double precision past ~1e300, so saturate for
     # rating gaps that extreme (hundreds of thousands of points at scale 400),
     # once both ratings are known to be finite.
-    if not (math.isfinite(r_a) and math.isfinite(r_b)):
-        _require_finite(r_a, "r_a")
-        _require_finite(r_b, "r_b")
+    for name, value in (("r_a", r_a), ("r_b", r_b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite rating, got {float(value)!r}")
     return 0.0 if magnitude > 300.0 else 1.0
 
 
@@ -123,25 +116,18 @@ def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> Ma
     return MatchExpectation(p_a=win_probability(r_a, r_b, cfg))
 
 
-def step(r_a: Rating, r_b: Rating, a_won: bool, cfg: EloConfig = EloConfig()) -> tuple[float, Rating, Rating]:
-    """Side A's pre-game win probability and both post-game ratings; see `kernel`.
-
-    Each side moves by k * (outcome - expectation). The winner gains what the
-    loser drops, so the rating sum is conserved, and the step magnitude is
-    strictly below k for finite inputs.
-    """
-    ratings = {"a": r_a, "b": r_b}
-    p_winner = kernel(cfg, ratings)("a", "b", a_won, True)
-    p_a = p_winner if a_won else win_probability(r_a, r_b, cfg)
-    return p_a, ratings["a"], ratings["b"]
-
-
 def update_pair(
     r_a: Rating,
     r_b: Rating,
     winner: Winner,
     cfg: EloConfig = EloConfig(),
 ) -> tuple[Rating, Rating]:
-    """Post-game ratings for both sides; see `step`."""
-    _, new_a, new_b = step(r_a, r_b, winner is Winner.A, cfg)
-    return new_a, new_b
+    """Post-game ratings for both sides, through `kernel`.
+
+    Each side moves by k * (outcome - expectation). The winner gains what the
+    loser drops, so the rating sum is conserved, and the step magnitude is
+    strictly below k for finite inputs.
+    """
+    ratings = {"a": r_a, "b": r_b}
+    kernel(cfg, ratings)("a", "b", winner is Winner.A, False)
+    return ratings["a"], ratings["b"]

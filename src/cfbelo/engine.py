@@ -11,13 +11,11 @@ from __future__ import annotations
 import datetime as dt
 import math
 from array import array
-from bisect import bisect_right
-from itertools import compress, count, islice, pairwise
-from operator import attrgetter, ne
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .elo import EloConfig, kernel, step
+from .elo import EloConfig, kernel
 
 UNKNOWN_CONFERENCE = "Unknown"
 
@@ -172,11 +170,9 @@ def apply_game(state: RatingState, game: Game, cfg: EloConfig = EloConfig()) -> 
             f"game on {game.date} applied after state already at {state.last_date}"
         )
     ratings = dict(state.ratings)
-    r_a = ratings.get(game.team_a, cfg.initial_rating)
-    r_b = ratings.get(game.team_b, cfg.initial_rating)
-    pair = dict(zip((game.team_a, game.team_b), step(r_a, r_b, game.score_a > game.score_b, cfg)[1:]))
-    _require_finite(pair, f"after game {state.games_applied} on {game.date}")
-    ratings.update(pair)
+    a, b = game.team_a, game.team_b
+    kernel(cfg, ratings)(a, b, game.score_a > game.score_b, False)
+    _require_finite({a: ratings[a], b: ratings[b]}, f"after game {state.games_applied} on {game.date}")
     return RatingState(ratings=ratings, games_applied=state.games_applied + 1, last_date=game.date)
 
 
@@ -221,41 +217,34 @@ def replay_arms(
     arms = [({}, {}, array("d")) for _ in cfgs]
     plays = [(kernel(cfg, ratings), p_winners.append) for cfg, (ratings, _, p_winners) in zip(cfgs, arms)]
     first, last = window or (math.inf, -math.inf)
-    # Where the fold pauses: at each season change and at the first game
-    # after each cut. Between two stops every game is a plain kernel call.
-    season = attrgetter("season")
-    changes = compress(count(1), map(ne, map(season, games), map(season, islice(games, 1, None))))
-    due: dict[int, list[dt.date]] = {}
-    for cut in sorted(set(cuts)):
-        due.setdefault(bisect_right(games, cut, key=attrgetter("date")), []).append(cut)
-    stops = sorted({0, len(games), *changes, *due})
-    rest = iter(games)
+    pending = sorted(set(cuts), reverse=True)
+    season = games[0].season if games else 0
+    scored = first <= season <= last
     try:
-        for start, end in pairwise(stops):
-            index = start
-            for cut in due.get(start, ()):
+        for index, game in enumerate(games):
+            while pending and pending[-1] < game.date:
+                cut = pending.pop()
                 for ratings, boards, _ in arms:
                     boards[cut] = dict(ratings)
-            current = games[start].season
-            if start and current != (previous := games[start - 1].season):
-                if current < previous:
-                    raise OutOfOrderError(f"game {start}: season {current} follows season {previous}")
+            if game.season != season:
+                if game.season < season:
+                    raise OutOfOrderError(f"game {index}: season {game.season} follows season {season}")
                 for (ratings, _, _), cfg in zip(arms, cfgs):
                     ratings.update(policy.apply(ratings, cfg.initial_rating))
-            scored = first <= current <= last
-            for index, game in enumerate(islice(rest, end - start), start):
-                a, b, a_won = game.team_a, game.team_b, game.score_a > game.score_b
-                for play, append in plays:
-                    p_winner = play(a, b, a_won, scored)
-                    if scored:
-                        append(p_winner)
+                season = game.season
+                scored = first <= season <= last
+            a, b, a_won = game.team_a, game.team_b, game.score_a > game.score_b
+            for play, append in plays:
+                p_winner = play(a, b, a_won, scored)
+                if scored:
+                    append(p_winner)
     except ValueError:  # a kernel refuses a rating that is no longer finite
         for ratings, *_ in arms:
             _require_finite(ratings, f"by game {index} on {games[index].date}")
         raise
     last_date = games[-1].date if games else None
     for ratings, boards, _ in arms:
-        for cut in due.get(len(games), ()):
+        for cut in reversed(pending):
             boards[cut] = dict(ratings)
         # An overflow in a team's last game is never read by a kernel.
         _require_finite(ratings, f"after game {len(games) - 1} on {last_date}")

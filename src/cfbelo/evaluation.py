@@ -6,7 +6,6 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
-from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -50,21 +49,9 @@ def prediction_records(
     Predictions are always made before the game's outcome touches the
     ratings, so truncating later seasons cannot change earlier records.
     """
-    first, last = eval_window or (-math.inf, math.inf)
+    first, last = window = eval_window or (-math.inf, math.inf)
     scored = [g for g in ordered(games) if first <= g.season <= last]
-    return list(map(PredictionRecord, scored, _winner_probabilities(games, (cfg,), policy, eval_window)[0]))
-
-
-def _winner_probabilities(
-    games: Sequence[Game],
-    cfgs: Sequence[EloConfig],
-    policy: CarryoverPolicy,
-    eval_window: tuple[int, int] | None,
-) -> list[array]:
-    """One replay for every config: per config, the winner's pre-game win
-    probability for each game inside the eval window, in replay order, in an `array("d")`."""
-    window = eval_window or (-math.inf, math.inf)
-    return [p_winners for _, _, p_winners in replay_arms(games, cfgs, policy, window=window)]
+    return list(map(PredictionRecord, scored, replay_arms(games, (cfg,), policy, window=window)[0][2]))
 
 
 def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
@@ -102,7 +89,8 @@ def backtest(
     eval_window: tuple[int, int] | None = None,
 ) -> EvalSummary:
     """Replay the stream and score predictions inside the eval window."""
-    return _summary(_winner_probabilities(games, (cfg,), policy, eval_window)[0], eval_window)
+    window = eval_window or (-math.inf, math.inf)
+    return _summary(replay_arms(games, (cfg,), policy, window=window)[0][2], eval_window)
 
 
 def sweep_k(
@@ -116,8 +104,9 @@ def sweep_k(
     advanced in one replay and returned in the order the K values were given."""
     if any(k <= 0 for k in k_values):
         raise ValueError("all K values must be positive")
-    arms = _winner_probabilities(games, [replace(base_cfg, k_factor=k) for k in k_values], policy, eval_window)
-    return [(k, _summary(p_winners, eval_window)) for k, p_winners in zip(k_values, arms)]
+    cfgs = [replace(base_cfg, k_factor=k) for k in k_values]
+    arms = replay_arms(games, cfgs, policy, window=eval_window or (-math.inf, math.inf))
+    return [(k, _summary(p_winners, eval_window)) for k, (_, _, p_winners) in zip(k_values, arms)]
 
 
 def simulate_league(

@@ -737,3 +737,80 @@ class TestCliProperties:
         again = parse_games(out, aliases=datasets.bundled_aliases())
         assert again.games == expected.games
         assert again.rejected == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        games_files(),
+        st.sampled_from(["5", "25", "1e308"]),
+        st.sampled_from(["full", "reset", "regress:0.5"]),
+        st.sampled_from([None, "1", "3"]),
+    )
+    def test_rate_board_is_the_snapshot_at_the_latest_default_cut(self, games, k, carryover, top_n):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "games.csv"
+            path.write_bytes(games)
+            common = ["--games", str(path), f"--k={k}", "--carryover", carryover, "--format", "json"]
+            common += ["--top-n", top_n] if top_n else []
+            rate, snapshot = run_quietly(["rate", *common]), run_quietly(["snapshot", *common])
+        assert rate[0] == snapshot[0]
+        if rate[0] == 0:
+            boards = [[(e["elo_rank"], e["team"], e["rating"]) for e in json.loads(out)["entries"]]
+                      for _, out in (rate, snapshot)]
+            assert boards[0] == boards[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        games_files(),
+        st.permutations(TEAMS),
+        st.sampled_from([2022, 2023]),
+        st.sampled_from([None, "2022-09-20", "2023-10-01", "2024-01-10"]),
+        st.sampled_from(["1", "3", "25"]),
+    )
+    def test_compare_ranks_each_pick_as_the_snapshot_does(self, games, picks, season, as_of, top_n):
+        rows = ["season,committee_rank,team,conference,won_championship"]
+        rows += [f"{season},{rank},{team},Conf,{rank == 1}" for rank, team in enumerate(picks[:4], 1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, selections = Path(tmp) / "games.csv", Path(tmp) / "selections.csv"
+            path.write_bytes(games)
+            selections.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            common = ["--games", str(path), "--season", str(season), "--top-n", top_n, "--format", "json"]
+            common += ["--as-of", as_of] if as_of else []
+            code, out = run_quietly(["compare", *common, "--selections", str(selections)])
+            s_code, s_out = run_quietly(["snapshot", *common])
+        if code == 1:  # not UTF-8, no games in the season, or an empty board
+            return
+        assert code == s_code == 0
+        ranks = {e["team"]: e["elo_rank"] for e in json.loads(s_out)["entries"]}
+        for pick in json.loads(out)["committee"]:
+            assert pick["elo_rank"] == ranks.get(pick["team"]), pick
+
+    @settings(max_examples=40, deadline=None)
+    @given(games_files())
+    def test_ingest_csv_is_idempotent_and_rates_as_its_input(self, games):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, canonical = Path(tmp) / "games.csv", Path(tmp) / "canonical.csv"
+            path.write_bytes(games)
+            code, out = run_quietly(["ingest", "--games", str(path), "--format", "csv"])
+            if code == 1:  # a file that is not UTF-8
+                return
+            canonical.write_text(out, encoding="utf-8")
+            assert run_quietly(["ingest", "--games", str(canonical), "--format", "csv"]) == (0, out)
+            rate = run_quietly(["rate", "--games", str(path), "--format", "json"])
+            assert run_quietly(["rate", "--games", str(canonical), "--format", "json"]) == rate
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), games_files(), st.sampled_from(["full", "reset", "regress:0.5"]))
+    def test_permuting_same_date_row_groups_leaves_rate_unchanged(self, data, games, carryover):
+        header, *rows = games.splitlines(keepends=True)
+        groups = {}  # rows by their date cell, in file order
+        for row in rows:
+            groups.setdefault(row.split(b",")[1] if b"," in row else row, []).append(row)
+        order = data.draw(st.permutations(list(groups)))
+        permuted = b"".join([header, *(row for key in order for row in groups[key])])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "games.csv"
+            runs = []
+            for content in (games, permuted):
+                path.write_bytes(content)
+                runs.append(run_quietly(["rate", "--games", str(path), "--carryover", carryover, "--format", "json"]))
+        assert runs[0] == runs[1]

@@ -335,6 +335,7 @@ class TestReplayStream:
         cuts = data.draw(cut_dates(games))
         _, boards = replay_stream(games, CFG, policy, cuts)
         assert set(boards) == cuts
+        assert list(boards) == sorted(cuts)
         for cut in cuts:
             visible = [g for g in games if g.date <= cut]
             assert boards[cut] == replay(visible, CFG, policy).ratings, cut

@@ -1,4 +1,5 @@
-"""The package has no runtime dependencies: every import is relative or from the standard library."""
+"""The package has no runtime dependencies: every import is relative or from
+the standard library, and every imported name is used."""
 
 import ast
 import sys
@@ -26,3 +27,25 @@ def test_every_import_is_relative_or_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def unused_imports(path):
+    """Names one source file imports and never reads; a name in its `__all__`
+    counts as read, and `from __future__` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_every_imported_name_is_used():
+    unused = {f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py")) for name in unused_imports(path)}
+    assert not unused
