@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 from . import analysis, datasets, evaluation
 from .elo import EloConfig
@@ -177,16 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared helpers
 
 
-def _read_file(path: str, what: str) -> str:
+def _read_file(path: str, what: str, parse: Callable[[BinaryIO], Any] | None = None) -> Any:
+    """The file's text, or what `parse` makes of the open binary file, which is closed on return."""
     p = Path(path)
-    if not p.is_file():
+    if not p.exists():
         raise CliError(f"{what} file not found: {path}")
+    if not p.is_file():
+        raise CliError(f"{what} file {path} is not a regular file")
     try:
-        return p.read_text(encoding="utf-8")
+        if parse is None:
+            return p.read_text(encoding="utf-8")
+        with p.open("rb") as f:
+            return parse(f)
     except OSError as exc:
         raise CliError(f"cannot read {what} file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{what} file {path} is not UTF-8: byte {exc.start}: {exc.reason}") from None
+    except UnicodeDecodeError:  # a stream counts its offset from its chunk: decode the file whole
+        try:
+            p.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{what} file {path} is not UTF-8: byte {exc.start}: {exc.reason}") from None
+        raise
 
 
 def _aliases_from(args: argparse.Namespace) -> dict[str, str]:
@@ -237,7 +247,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_games(args: argparse.Namespace, aliases: dict[str, str]) -> ParsedGames:
-    parsed = parse_games(_read_file(args.games, "games"), aliases=aliases)
+    parsed = _read_file(args.games, "games", lambda f: parse_games(f, aliases=aliases))
     _report_ingest_problems(parsed)
     if not parsed.games:
         raise CliError(f"no valid games in {args.games}")
@@ -296,8 +306,8 @@ def _synthetic_games(seed: int) -> list[Game]:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     aliases = _aliases_from(args)
-    parsed = parse_games(
-        _read_file(args.games, "games"), aliases=aliases, allow_duplicates=args.allow_duplicates
+    parsed = _read_file(
+        args.games, "games", lambda f: parse_games(f, aliases=aliases, allow_duplicates=args.allow_duplicates)
     )
     _report_ingest_problems(parsed)
     _emit(_render_games(parsed.games, args.format), Path(args.out) if args.out else None)

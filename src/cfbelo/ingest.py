@@ -12,9 +12,10 @@ import datetime as dt
 import io
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field, fields
-from itertools import islice
-from typing import Iterator
+from itertools import chain, islice
+from typing import BinaryIO, Iterator
 
 from .engine import Game
 
@@ -181,19 +182,24 @@ def _flag(cell: str) -> bool | None:
     return {"true": True, "false": False}.get(cell.strip().lower())
 
 
-def _csv_lines(text: str) -> io.TextIOWrapper:
-    """The lines of a CSV text less its BOM, split as io.StringIO(newline="") splits them, read
-    from a UTF-8 copy 8 KiB at a time: a StringIO of the text would hold 4 bytes a character."""
-    data = text.lstrip("\ufeff").encode("utf-8", "surrogatepass")
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogatepass", newline="")
+def _csv_lines(source: str | BinaryIO) -> Iterator[str]:
+    """The lines of a CSV text or open binary file less leading BOMs, split as io.StringIO(newline="")
+    splits them and decoded 8 KiB at a time: a text from a UTF-8 copy (a StringIO would hold 4 bytes
+    a character), a file as strict UTF-8. Once read, the decoder detaches, leaving a file open."""
+    text = isinstance(source, str)
+    data = io.BytesIO(source.encode("utf-8", "surrogatepass")) if text else source
+    lines = io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass" if text else "strict", newline="")
+    first = next(lines, "").lstrip("\ufeff")
+    return chain((first,) if first else (), lines, iter(lines.detach, data))
 
 
 def parse_games(
-    text: str,
+    source: str | BinaryIO,
     aliases: dict[str, str] | None = None,
     allow_duplicates: bool = False,
 ) -> ParsedGames:
-    """Parse a games CSV into validated, canonicalized, date-ordered games.
+    """Parse a games CSV, given as a text or an open binary file, into validated,
+    canonicalized, date-ordered games. A file is read to its end, as strict UTF-8, and left open.
 
     Every invalid row lands in the reject report with its line number and a
     machine-readable reason code. A duplicate is a second game between the
@@ -201,20 +207,19 @@ def parse_games(
     the csv module's field limit is rejected without its raw text.
     """
     result = ParsedGames()
-    reader = csv.reader(_csv_lines(text))
+    reader = csv.reader(lines := _csv_lines(source))
     try:
         header = next(reader)
     except StopIteration:
         return result
     except csv.Error:  # a cell past the field limit
         result.rejected.append(RejectedRow(reader.line_num, REASON_FIELD_TOO_LARGE, ""))
+    else:
+        if [h.strip() for h in header] != GAMES_HEADER:
+            result.rejected.append(RejectedRow(reader.line_num, REASON_BAD_HEADER, ",".join(header)))
+    if result.rejected:
+        deque(lines, 0)  # decode the rest: a file that is not UTF-8 fails whatever its header
         return result
-    if [h.strip() for h in header] != GAMES_HEADER:
-        result.rejected.append(
-            RejectedRow(reader.line_num, REASON_BAD_HEADER, ",".join(header))
-        )
-        return result
-
     validator = _RowValidator(aliases, result.warnings)
     seen_pairs: set[tuple[dt.date, str, str]] = set()
     while True:

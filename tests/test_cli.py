@@ -29,6 +29,9 @@ THREE_GAME_FIXTURE = "\n".join(
     ]
 ) + "\n"
 
+# A games file of 141,074 bytes, all ASCII.
+UTF8_GAMES = (GAMES_HEADER + "\n" + "2023,2023-09-02,1,Ann Arbor,Busyton,10,3,false\n" * 3000).encode()
+
 
 @pytest.fixture
 def three_games(tmp_path):
@@ -90,6 +93,17 @@ class TestExitCodes:
         assert code == 1
         assert "/no/such/file.csv" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, what",
+        [("rate", "--games", "games"), ("stats", "--selections", "selections"), ("rate", "--aliases", "alias")],
+    )
+    @pytest.mark.parametrize("device", [False, True])
+    def test_path_that_is_not_a_regular_file_exits_one_saying_so(self, capsys, tmp_path, command, flag, what, device):
+        path = "/dev/null" if device else str(tmp_path)
+        code, out, err = run(capsys, command, flag, path)
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: {what} file {path} is not a regular file\n"
 
     def test_malformed_date_exits_one_naming_flag(self, capsys):
         code, _, err = run(capsys, "snapshot", "--as-of", "tomorrow")
@@ -213,6 +227,62 @@ class TestIngest:
         assert code == 1
         assert f"{what} file {bad} is not UTF-8" in err
         assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "data, offset, reason",
+        [
+            *((UTF8_GAMES[:at] + b"\xff" + UTF8_GAMES[at + 1 :], at, "invalid start byte")
+              for at in (0, 8191, 8192, 8193, 100_000)),
+            (UTF8_GAMES + b"\xe2\x82", len(UTF8_GAMES), "unexpected end of data"),
+            (b"no,header\n" + UTF8_GAMES[10:100_000] + b"\xff", 100_000, "invalid start byte"),
+        ],
+        ids=["0", "8191", "8192", "8193", "100000", "truncated-at-end", "after-a-bad-header"],
+    )
+    @pytest.mark.parametrize("command", ["ingest", "rate", "compare", "sweep"])
+    def test_non_utf8_games_file_names_the_first_bad_byte_of_the_file(self, capsys, tmp_path, data, offset, reason, command):
+        # The file is decoded 8 KiB at a time; the offset is the file's, not the chunk's.
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert (whole.value.start, whole.value.reason) == (offset, reason)
+        games, target = tmp_path / "games.csv", tmp_path / "out.txt"
+        games.write_bytes(data)
+        code, out, err = run(capsys, command, "--games", str(games), "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: games file {games} is not UTF-8: byte {offset}: {reason}\n"
+        assert not target.exists()
+
+    def test_parse_memory_does_not_grow_with_the_games_file(self, capsys, tmp_path):
+        # Blank and whitespace-only rows record nothing, so what the parse
+        # holds is its line source. Reading the whole text and a UTF-8 copy of
+        # it peaked at twice the file.
+        games = tmp_path / "blank.csv"
+        games.write_text(GAMES_HEADER + "\n" + "\n , ,\t\n ,,,,,,, \n" * 120_000, encoding="utf-8")
+        run(capsys, "ingest", "--games", str(games))  # the bundled alias table is built once per process
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "ingest", "--games", str(games))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, GAMES_HEADER + "\n", "")
+        assert games.stat().st_size > 2_000_000
+        assert peak < games.stat().st_size / 4
+
+    def test_out_may_be_the_games_file_itself(self, capsys, tmp_path):
+        # Many chunks long, so a file truncated before it was read to its end would show.
+        games = tmp_path / "games.csv"
+        games.write_text(
+            GAMES_HEADER + "\n" + "".join(
+                f"2023,{dt.date(2023, 12, 1) - dt.timedelta(days=i % 100)},9,Home {i},Away {i},21,14,false\n"
+                for i in range(3000)
+            ),
+            encoding="utf-8",
+        )
+        code, expected, _ = run(capsys, "ingest", "--games", str(games))
+        assert code == 0
+        code, out, _ = run(capsys, "ingest", "--games", str(games), "--out", str(games))
+        assert (code, out) == (0, "")
+        assert games.read_text(encoding="utf-8") == expected
 
     def test_each_distinct_warning_is_reported_once_with_its_count(self, capsys, tmp_path):
         games = tmp_path / "games.csv"

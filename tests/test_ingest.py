@@ -5,7 +5,9 @@ import io
 import pickle
 import random
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -407,33 +409,74 @@ def csv_cell(cell):
     return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
 
 
+# A cell past csv's default field limit of 131,072 characters.
+OVER_LIMIT = "X" * 131_073
+
+
 @st.composite
 def games_texts(draw):
     """A games file with LF, CRLF and CR line ends mixed, odd team names,
-    sometimes a leading BOM, and sometimes a long first row that puts the rows
-    after it across the 8 KiB chunk the reader decodes at a time."""
+    sometimes a run of leading BOMs, a row with a cell past the field limit,
+    or a long first row that puts the rows after it across the 8 KiB chunk
+    the reader decodes at a time; now and then only BOMs, or nothing."""
+    boms = draw(st.sampled_from(["", "\ufeff", "\ufeff" * 3]))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        return boms
     rows = draw(st.lists(oracle_rows(), max_size=30))
     for row in rows:
         for i in (3, 4):
             if i < len(row) and draw(st.booleans()):
                 row[i] = draw(st.sampled_from(ODD_NAMES))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        rows.insert(draw(st.integers(0, len(rows))), ["2023", "2023-09-02", "1", OVER_LIMIT, "B", "1", "0", "false"])
     if draw(st.booleans()):
         long_name = "x" * draw(st.integers(7900, 8200))
         rows.insert(0, ["2023", "2023-09-02", "1", long_name, "Ohio State", "1", "0", "false"])
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     lines = [",".join(map(csv_cell, row)) + draw(ends) for row in [GAMES_HEADER, *rows]]
-    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+    return boms + "".join(lines)
+
+
+def placed(piece, tail, at):
+    """The header, then a row whose home team is x's enough to put the first
+    `piece` of `tail`, the rest of the file, at byte `at` of its UTF-8 form."""
+    head = HEADER + "\n2023,2023-09-02,1,"
+    pad = at - len(head.encode("utf-8")) - len(tail[: tail.index(piece)].encode("utf-8"))
+    return head + "x" * pad + tail
+
+
+NEXT_ROW = "2023,2023-09-09,2,A,B,3,1,false\n"
 
 
 class TestLineSource:
     @settings(max_examples=150, deadline=None)
     @given(games_texts(), st.booleans())
+    @example("\ufeff" * 3 + HEADER + "\n" + NEXT_ROW, False)
+    @example("\ufeff", False)
+    @example("\ufeff" * 2, False)
+    @example(placed("\r\n", ",Ohio State,1,0,false\r\n" + NEXT_ROW, 8191), False)  # CR ends chunk 1, LF starts 2
+    @example(placed("\r\n", ',"cr\r\nname",1,0,false\n' + NEXT_ROW, 8191), False)  # the same, in a quoted cell
+    @example(placed("\U0001f3c8", "\U0001f3c8 Bowl,Ohio State,1,0,false\n" + NEXT_ROW, 8190), False)  # 4 bytes split 2 + 2
+    @example(placed("ñ", "ñ,Ohio State,1,0,false\n" + NEXT_ROW, 8191), False)  # 2 bytes split 1 + 1
+    @example(HEADER + f"\n2023,2023-09-02,1,{OVER_LIMIT},B,21,7,false\n" + NEXT_ROW, False)
+    @example(OVER_LIMIT + "\n" + NEXT_ROW, False)
     def test_line_ends_quotes_bom_and_chunk_edges_equal_the_naive_oracle(self, text, allow_duplicates):
         parsed = parse_games(text, aliases=ALIASES, allow_duplicates=allow_duplicates)
-        games, rejected, warnings = naive_parse_games(text, ALIASES, allow_duplicates)
-        assert parsed.games == games
-        assert [(r.line_number, r.reason, r.raw) for r in parsed.rejected] == rejected
-        assert parsed.warnings == warnings
+        if OVER_LIMIT not in text:  # the oracle's csv.reader raises on it
+            games, rejected, warnings = naive_parse_games(text, ALIASES, allow_duplicates)
+            assert parsed.games == games
+            assert [(r.line_number, r.reason, r.raw) for r in parsed.rejected] == rejected
+            assert parsed.warnings == warnings
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "games.csv"
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            if re.search("[\ud800-\udfff]", text):  # a lone surrogate has no strict UTF-8 form
+                with pytest.raises(UnicodeDecodeError), open(path, "rb") as f:
+                    parse_games(f, aliases=ALIASES, allow_duplicates=allow_duplicates)
+                return
+            with open(path, "rb") as f:
+                assert parse_games(f, aliases=ALIASES, allow_duplicates=allow_duplicates) == parsed
+                assert not f.closed and f.read() == b""  # read to its end and left open
 
     def test_transient_peak_stays_under_five_bytes_a_character(self):
         rng = random.Random(5)
