@@ -11,9 +11,10 @@ import argparse
 import datetime as dt
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from . import analysis, datasets, evaluation
 from .elo import EloConfig
@@ -54,69 +55,53 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated cross-command options."""
-
-    cfg: EloConfig
-    policy: CarryoverPolicy
-    fmt: str
-    out: Path | None
+SWEEP_KS = (5.0, 10.0, 25.0, 50.0, 100.0)
 
 
-def _add_format_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=analysis.FORMATS,
-        default="table",
-        help="output format (default: table)",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
+def _add_format_opts(
+    p: argparse.ArgumentParser, default: str = "table", note: str = "", what: str = "the report"
+) -> None:
+    fmt_help = f"output format (default: %(default)s{note})"
+    p.add_argument("--format", choices=analysis.FORMATS, default=default, help=fmt_help)
+    p.add_argument("--out", metavar="PATH", help=f"write {what} to PATH instead of stdout")
 
 
 def _add_elo_opts(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    elo = EloConfig()
     if sweep:  # a list of K values, kept apart from the single K of the other commands
         p.add_argument(
             "--k", type=float, action="append", dest="k_values", metavar="K",
-            help="K value to test; repeat the flag for several (default: 5 10 25 50 100)",
+            help=f"K value to test; repeat the flag for several (default: {' '.join(map('{:g}'.format, SWEEP_KS))})",
         )
     else:
         p.add_argument(
-            "--k", type=float, default=25.0, help="K-factor, points per game (default: 25)"
+            "--k", type=float, default=elo.k_factor, help="K-factor, points per game (default: %(default)g)"
         )
-    p.add_argument("--initial", type=float, default=1500.0, help="starting rating (default: 1500)")
-    p.add_argument("--scale", type=float, default=400.0, help="rating points per decade of odds (default: 400)")
+    p.add_argument("--initial", type=float, default=elo.initial_rating, help="starting rating (default: %(default)g)")
     p.add_argument(
-        "--carryover",
-        default="full",
-        metavar="full|reset|regress:RHO",
-        help="season-boundary policy (default: full)",
+        "--scale", type=float, default=elo.scale, help="rating points per decade of odds (default: %(default)g)"
+    )
+    p.add_argument(
+        "--carryover", default="full", metavar="full|reset|regress:RHO",
+        help="season-boundary policy (default: %(default)s)",
     )
 
 
-def _add_input_opts(p: argparse.ArgumentParser, games_help: str) -> None:
-    p.add_argument("--games", metavar="PATH", help=games_help)
+def _add_input_opts(p: argparse.ArgumentParser, games_help: str, required: bool = False) -> None:
+    p.add_argument("--games", metavar="PATH", required=required, help=games_help)
     p.add_argument("--aliases", metavar="PATH", help="JSON alias directory (default: bundled)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog=PROG,
-        description="Elo rating engine and committee-selection analysis for college football.",
+        prog=PROG, description="Elo rating engine and committee-selection analysis for college football."
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="validate a games file and emit it in canonical form")
-    p.add_argument("--games", metavar="PATH", required=True, help="games CSV to validate")
-    p.add_argument("--aliases", metavar="PATH", help="JSON alias directory (default: bundled)")
+    _add_input_opts(p, "games CSV to validate", required=True)
     p.add_argument("--allow-duplicates", action="store_true", help="keep repeated pairings on one date")
-    p.add_argument(
-        "--format",
-        choices=analysis.FORMATS,
-        default="csv",
-        help="output format (default: csv, the canonical file form)",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the canonical games to PATH instead of stdout")
+    _add_format_opts(p, default="csv", note=", the canonical file form", what="the canonical games")
 
     p = sub.add_parser("rate", help="replay a games file and print the final rating board")
     _add_input_opts(p, "games CSV (default: bundled demo schedule)")
@@ -143,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selections", metavar="PATH", help="selections CSV (default: bundled 2014-2023)")
     p.add_argument("--season", type=int, help="report a single season instead of all")
     p.add_argument("--as-of", metavar="YYYY-MM-DD", help="cut date override (single --season only)")
-    p.add_argument("--top-n", type=int, default=25, metavar="N", help="replayed board depth (default: 25)")
+    p.add_argument("--top-n", type=int, default=25, metavar="N", help="replayed board depth (default: %(default)s)")
     p.add_argument(
         "--agreement-report",
         action="store_true",
@@ -156,19 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aliases", metavar="PATH", help="JSON alias directory (default: bundled)")
     _add_format_opts(p)
 
-    p = sub.add_parser("backtest", help="score pre-game win probabilities over a replay")
-    _add_input_opts(p, "games CSV (default: synthetic 16-team league from --seed)")
-    _add_elo_opts(p)
-    p.add_argument("--eval-window", metavar="FIRST..LAST", help="season range to score (default: all)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the synthetic league (default: 0)")
-    _add_format_opts(p)
-
-    p = sub.add_parser("sweep", help="backtest once per K value")
-    _add_input_opts(p, "games CSV (default: synthetic 16-team league from --seed)")
-    _add_elo_opts(p, sweep=True)
-    p.add_argument("--eval-window", metavar="FIRST..LAST", help="season range to score (default: all)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the synthetic league (default: 0)")
-    _add_format_opts(p)
+    for name, help_text in (
+        ("backtest", "score pre-game win probabilities over a replay"),
+        ("sweep", "backtest once per K value"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_input_opts(p, "games CSV (default: synthetic 16-team league from --seed)")
+        _add_elo_opts(p, sweep=name == "sweep")
+        p.add_argument("--eval-window", metavar="FIRST..LAST", help="season range to score (default: all)")
+        p.add_argument("--seed", type=int, default=0, help="seed for the synthetic league (default: %(default)s)")
+        _add_format_opts(p)
 
     return parser
 
@@ -177,16 +159,25 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared helpers
 
 
-def _read_file(path: str, what: str, parse: Callable[[BinaryIO], Any] | None = None) -> Any:
-    """The file's text, or what `parse` makes of the open binary file, which is closed on return."""
+@contextmanager
+def _user_errors(prefix: str = "") -> Iterator[None]:
+    """Report a ValueError as bad input; a rating overflow goes on to `main`."""
+    try:
+        yield
+    except RatingOverflowError:
+        raise
+    except ValueError as exc:
+        raise CliError(f"{prefix}{exc}") from None
+
+
+def _read_file(path: str, what: str, parse: Callable[[BinaryIO], Any]) -> Any:
+    """What `parse` makes of the open binary file, which is closed on return."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"{what} file not found: {path}")
     if not p.is_file():
         raise CliError(f"{what} file {path} is not a regular file")
     try:
-        if parse is None:
-            return p.read_text(encoding="utf-8")
         with p.open("rb") as f:
             return parse(f)
     except OSError as exc:
@@ -200,11 +191,9 @@ def _read_file(path: str, what: str, parse: Callable[[BinaryIO], Any] | None = N
 
 
 def _aliases_from(args: argparse.Namespace) -> dict[str, str]:
-    if getattr(args, "aliases", None):
-        try:
-            return load_aliases(_read_file(args.aliases, "alias"))
-        except ValueError as exc:
-            raise CliError(f"--aliases: {args.aliases}: {exc}") from None
+    if args.aliases:
+        with _user_errors(f"--aliases: {args.aliases}: "):
+            return _read_file(args.aliases, "alias", lambda f: load_aliases(f.read().decode("utf-8")))
     return datasets.bundled_aliases()
 
 
@@ -226,32 +215,33 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    top_n = getattr(args, "top_n", None)
-    if top_n is not None and top_n < 0:
-        raise CliError(f"--top-n must be non-negative, got {top_n}")
-    try:
-        cfg = EloConfig(
-            initial_rating=getattr(args, "initial", 1500.0),
-            k_factor=getattr(args, "k", 25.0),
-            scale=getattr(args, "scale", 400.0),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    try:
-        policy = CarryoverPolicy.parse(getattr(args, "carryover", "full"))
-    except ValueError as exc:
-        raise CliError(f"--carryover: {exc}") from None
-    out = Path(args.out) if getattr(args, "out", None) else None
-    return RunConfig(cfg=cfg, policy=policy, fmt=getattr(args, "format", "table"), out=out)
+def _model(args: argparse.Namespace) -> tuple[EloConfig, CarryoverPolicy]:
+    """The validated Elo config and carryover policy of a replaying command."""
+    if "top_n" in args and args.top_n is not None and args.top_n < 0:
+        raise CliError(f"--top-n must be non-negative, got {args.top_n}")
+    k = {"k_factor": args.k} if "k" in args else {}  # sweep's K values are its arms
+    with _user_errors():
+        cfg = EloConfig(initial_rating=args.initial, scale=args.scale, **k)
+    with _user_errors("--carryover: "):
+        return cfg, CarryoverPolicy.parse(args.carryover)
 
 
-def _load_games(args: argparse.Namespace, aliases: dict[str, str]) -> ParsedGames:
-    parsed = _read_file(args.games, "games", lambda f: parse_games(f, aliases=aliases))
+def _parse_games(path: str, aliases: dict[str, str], allow_duplicates: bool) -> ParsedGames:
+    parsed = _read_file(path, "games", lambda f: parse_games(f, aliases=aliases, allow_duplicates=allow_duplicates))
     _report_ingest_problems(parsed)
-    if not parsed.games:
-        raise CliError(f"no valid games in {args.games}")
     return parsed
+
+
+def _load_games(
+    args: argparse.Namespace, aliases: dict[str, str], fallback: Callable[[], list[Game]] | None = None
+) -> list[Game]:
+    """The valid games of --games, at least one, or `fallback()` when the flag is not given."""
+    if not args.games:
+        return fallback()
+    games = _parse_games(args.games, aliases, allow_duplicates=False).games
+    if not games:
+        raise CliError(f"no valid games in {args.games}")
+    return games
 
 
 def _report_ingest_problems(parsed: ParsedGames) -> None:
@@ -265,25 +255,24 @@ def _report_ingest_problems(parsed: ParsedGames) -> None:
 
 
 def _load_selections(args: argparse.Namespace, aliases: dict[str, str]) -> list[SelectionRecord]:
-    if getattr(args, "selections", None):
-        try:
-            return parse_selections(_read_file(args.selections, "selections"), aliases=aliases)
-        except ValueError as exc:
-            raise CliError(f"--selections: {exc}") from None
+    if args.selections:
+        with _user_errors("--selections: "):
+            parse = lambda f: parse_selections(f.read().decode("utf-8"), aliases=aliases)  # noqa: E731
+            return _read_file(args.selections, "selections", parse)
     return list(datasets.bundled_selections())
 
 
-def _emit(text: str | Iterable[str], out: Path | None) -> None:
-    """Write a report, whole or in the pieces it is encoded in."""
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write a report, whole or in the pieces it is encoded in, to stdout or the --out file."""
     pieces = (text,) if isinstance(text, str) else text
-    if out is None:
+    if not out:
         sys.stdout.writelines(pieces)
         return
     try:
-        with out.open("w", encoding="utf-8") as f:
+        with Path(out).open("w", encoding="utf-8") as f:
             f.writelines(pieces)
     except OSError as exc:
-        raise CliError(f"cannot write --out file {out}: {exc}") from None
+        raise CliError(f"cannot write --out file {Path(out)}: {exc}") from None
 
 
 def _season_of_date(date: dt.date) -> int:
@@ -295,22 +284,13 @@ def _board_label(season: int, cut: dt.date) -> str:
     return f"{season} board as of {cut.isoformat()}"
 
 
-def _synthetic_games(seed: int) -> list[Game]:
-    league = evaluation.simulate_league(n_teams=16, n_rounds=40, strength_spread=600.0, seed=seed)
-    return league.games
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    aliases = _aliases_from(args)
-    parsed = _read_file(
-        args.games, "games", lambda f: parse_games(f, aliases=aliases, allow_duplicates=args.allow_duplicates)
-    )
-    _report_ingest_problems(parsed)
-    _emit(_render_games(parsed.games, args.format), Path(args.out) if args.out else None)
+    parsed = _parse_games(args.games, _aliases_from(args), args.allow_duplicates)
+    _emit(_render_games(parsed.games, args.format), args.out)
     return 0
 
 
@@ -333,40 +313,37 @@ def _render_games(games: list[Game], fmt: str) -> str | Iterable[str]:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    aliases = _aliases_from(args)
-    parsed = datasets.sample_games() if not args.games else _load_games(args, aliases)
-    state = replay(parsed.games, run.cfg, run.policy)
+    cfg, policy = _model(args)
+    games = _load_games(args, _aliases_from(args), lambda: datasets.sample_games().games)
+    state = replay(games, cfg, policy)
     board = rank_teams(state.ratings, top_n=args.top_n, conferences=datasets.bundled_conferences())
     label = f"final ratings after {state.games_applied} games"
     snapshot = Snapshot(label=label, as_of=state.last_date or dt.date.min, entries=board)
-    _emit(analysis.render_report(snapshot, run.fmt), run.out)
+    _emit(analysis.render_report(snapshot, args.format), args.out)
     return 0
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    run = _run_config(args)
+    cfg, policy = _model(args)
     aliases = _aliases_from(args)
-    parsed = datasets.sample_games() if not args.games else _load_games(args, aliases)
+    games = _load_games(args, aliases, lambda: datasets.sample_games().games)
     if args.as_of:
         as_of = _parse_date(args.as_of, "--as-of")
     else:
-        try:
-            as_of = default_cut_date(parsed.games, season=args.season)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        with _user_errors():
+            as_of = default_cut_date(games, season=args.season)
     season = args.season if args.season is not None else _season_of_date(as_of)
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
     snapshot = snapshot_at(
-        parsed.games, as_of, run.cfg, run.policy, top_n=args.top_n,
+        games, as_of, cfg, policy, top_n=args.top_n,
         label=_board_label(season, as_of), conferences=datasets.bundled_conferences(),
     )
-    _emit(analysis.render_report(snapshot, run.fmt, selections=selections or None), run.out)
+    _emit(analysis.render_report(snapshot, args.format, selections=selections or None), args.out)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    run = _run_config(args)
+    cfg, policy = _model(args)
     if args.as_of and not args.games:
         raise CliError("--as-of only applies when replaying boards from --games")
     if args.as_of and args.season is None:
@@ -380,10 +357,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         selections = [r for r in selections if r.season == args.season]
         if not selections:
             raise CliError(f"--season: no selection records for {args.season}")
+    if not selections:
+        raise CliError(f"--selections: {args.selections} holds no selection records")
 
     if args.games:
-        parsed = _load_games(args, aliases)
-        defaults = default_cuts(parsed.games)
+        games = _load_games(args, aliases)
+        defaults = default_cuts(games)
         wanted = sorted({r.season for r in selections})
         seasons = [s for s in wanted if s in defaults]
         skipped = [str(s) for s in wanted if s not in defaults]
@@ -395,78 +374,60 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # Agreement ranks need the full board; the compare table only --top-n.
         depth = None if args.agreement_report else args.top_n
         boards = snapshots_at(
-            parsed.games, {_board_label(s, cut): cut for s, cut in cuts.items()},
-            run.cfg, run.policy, depth, datasets.bundled_conferences(),
+            games, {_board_label(s, cut): cut for s, cut in cuts.items()},
+            cfg, policy, depth, datasets.bundled_conferences(),
         )
         ranked = dict(zip(cuts, boards))
-        snapshots = {
-            season: replace(snap, entries=snap.top(args.top_n)) for season, snap in ranked.items()
-        }
+        snapshots = {season: replace(snap, entries=snap.top(args.top_n)) for season, snap in ranked.items()}
         selections = [r for r in selections if r.season in seasons]
     else:
         snapshots = datasets.bundled_snapshots()
-        available = set(snapshots)
-        selections = [r for r in selections if r.season in available]
+        selections = [r for r in selections if r.season in snapshots]
         if not selections:
             raise CliError("no bundled board covers the requested season(s)")
 
-    try:
+    with _user_errors():
         reports, summary = analysis.compare_all(snapshots, selections)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
-    agreement = None
-    if args.agreement_report:
-        agreement = analysis.reference_agreement(ranked, datasets.bundled_snapshots())
+    agreement = analysis.reference_agreement(ranked, datasets.bundled_snapshots()) if args.agreement_report else None
     # A --season run is the single-season report, without the aggregate.
     summary = None if args.season is not None else summary
-    _emit(analysis.render_comparisons(reports, summary, run.fmt, agreement), run.out)
+    _emit(analysis.render_comparisons(reports, summary, args.format, agreement), args.out)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    aliases = _aliases_from(args)
-    records = _load_selections(args, aliases)
-    stats = analysis.selection_stats(records)
-    _emit(analysis.render_report(stats, run.fmt), run.out)
+    records = _load_selections(args, _aliases_from(args))
+    _emit(analysis.render_report(analysis.selection_stats(records), args.format), args.out)
     return 0
 
 
-def _eval_inputs(args: argparse.Namespace) -> tuple[list[Game], tuple[int, int] | None]:
-    aliases = _aliases_from(args)
-    if args.games:
-        games = _load_games(args, aliases).games
-    else:
-        games = _synthetic_games(args.seed)
+def _scoring_inputs(
+    args: argparse.Namespace,
+) -> tuple[list[Game], tuple[int, int] | None, EloConfig, CarryoverPolicy]:
+    """The games, eval window, config and policy of `backtest` and `sweep`."""
+    cfg, policy = _model(args)
+    games = _load_games(
+        args, _aliases_from(args),
+        lambda: evaluation.simulate_league(n_teams=16, n_rounds=40, strength_spread=600.0, seed=args.seed).games,
+    )
     window = _parse_window(args.eval_window) if args.eval_window else None
-    return games, window
+    return games, window, cfg, policy
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    games, window = _eval_inputs(args)
-    try:
-        summary = evaluation.backtest(games, run.cfg, run.policy, window)
-    except RatingOverflowError:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(analysis.render_report(summary, run.fmt), run.out)
+    games, window, cfg, policy = _scoring_inputs(args)
+    with _user_errors():
+        summary = evaluation.backtest(games, cfg, policy, window)
+    _emit(analysis.render_report(summary, args.format), args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    games, window = _eval_inputs(args)
-    k_values = args.k_values or [5.0, 10.0, 25.0, 50.0, 100.0]
-    try:
-        results = evaluation.sweep_k(games, k_values, run.policy, window, base_cfg=run.cfg)
-    except RatingOverflowError:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(analysis.render_sweep(results, run.fmt), run.out)
+    games, window, cfg, policy = _scoring_inputs(args)
+    with _user_errors():
+        results = evaluation.sweep_k(games, args.k_values or SWEEP_KS, policy, window, base_cfg=cfg)
+    _emit(analysis.render_sweep(results, args.format), args.out)
     return 0
 
 
@@ -482,9 +443,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

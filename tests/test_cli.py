@@ -72,6 +72,12 @@ def count_updates(monkeypatch):
     return calls
 
 
+HELP_DIR = Path(__file__).parent / "help"
+
+# The commands that replay games under --k, --initial, --scale and --carryover.
+REPLAYING = ("rate", "snapshot", "compare", "backtest", "sweep")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -149,6 +155,34 @@ class TestExitCodes:
             assert code == 0
             for flag in flags:
                 assert flag in out, (command, flag)
+
+    @pytest.mark.parametrize("command", ["", "ingest", "rate", "snapshot", "compare", "stats", "backtest", "sweep"])
+    def test_help_text_matches_its_golden_file(self, capsys, monkeypatch, command):
+        # argparse wraps help to the terminal width, which it reads from COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *filter(None, [command, "--help"]))
+        assert (code, err) == (0, "")
+        assert out == (HELP_DIR / f"{command or 'cfbelo'}.txt").read_text(encoding="utf-8")
+
+    def test_every_help_golden_file_has_a_command(self):
+        names = {"cfbelo", "ingest", "rate", "snapshot", "compare", "stats", "backtest", "sweep"}
+        assert {p.name for p in HELP_DIR.iterdir()} == {f"{name}.txt" for name in names}
+
+    @pytest.mark.parametrize(
+        "flag, value, error, commands",
+        [
+            # sweep's --k is its list of K values, checked with the other sweep inputs
+            ("--k", "-1", "k_factor must be a positive finite number", ("rate", "snapshot", "compare", "backtest")),
+            ("--scale", "0", "scale must be a positive finite number", REPLAYING),
+            ("--carryover", "x", "--carryover: unknown carryover policy 'x' (use full, reset, or regress:RHO)", REPLAYING),
+            ("--top-n", "-1", "--top-n must be non-negative, got -1", ("rate", "snapshot", "compare")),
+        ],
+    )
+    @pytest.mark.parametrize("games", [(), ("--games", "/no/such/games.csv")], ids=["no-games", "missing-games"])
+    def test_each_shared_flag_is_checked_alike_and_before_any_file(self, capsys, flag, value, error, commands, games):
+        for command in commands:
+            code, out, err = run(capsys, command, flag, value, *games)
+            assert (code, out, err) == (1, "", f"cfbelo: error: {error}\n"), command
 
 
 DEMO_GAMES = "src/cfbelo/data/sample_games_2021_2023.csv"
@@ -397,6 +431,41 @@ class TestOverLongInput:
         assert err == f"cfbelo: error: --aliases: {aliases}: JSON nested too deeply to parse\n"
 
 
+class TestSelectionsAndAliasFiles:
+    """Selections and alias files are decoded whole, as strict UTF-8, from
+    their bytes: the CLI reads the same text the library is given."""
+
+    def test_line_break_in_a_quoted_selections_cell_is_kept_as_in_the_file(self, capsys, tmp_path):
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(
+            b"season,committee_rank,team,conference,won_championship\r\n"
+            + b"".join(b'2023,%d,Team %d,"Big\r\nTen",false\r\n' % (rank, rank) for rank in range(1, 5))
+        )
+        code, out, err = run(capsys, "stats", "--selections", str(selections), "--format", "json")
+        assert (code, err) == (0, "")
+        assert [c["conference"] for c in json.loads(out)["per_conference"]] == ["Big\r\nTen"]
+        parsed = ingest.parse_selections(selections.read_bytes().decode("utf-8"))
+        assert {r.conference for r in parsed} == {"Big\r\nTen"}
+
+    def test_alias_json_error_counts_the_file_as_it_is(self, capsys, tmp_path):
+        aliases = tmp_path / "aliases.json"
+        aliases.write_bytes(b'{\r\n"a": }')
+        with pytest.raises(ValueError) as direct:
+            ingest.load_aliases(aliases.read_bytes().decode("utf-8"))
+        code, out, err = run(capsys, "stats", "--aliases", str(aliases))
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: --aliases: {aliases}: {direct.value}\n"
+        assert err.endswith("(char 8)\n")  # the CR counts
+
+    @pytest.mark.parametrize("command", ["stats", "compare", "snapshot"])
+    def test_a_bad_byte_outranks_a_bad_header(self, capsys, tmp_path, command):
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(b"no,header\n2023,1,Caf\xe9,SEC,true\n")
+        code, out, err = run(capsys, command, "--selections", str(selections))
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: selections file {selections} is not UTF-8: byte 20: invalid continuation byte\n"
+
+
 class TestRate:
     def test_three_game_fixture_matches_oracle(self, capsys, three_games):
         code, out, _ = run(capsys, "rate", "--games", str(three_games), "--format", "json")
@@ -522,6 +591,17 @@ class TestCompare:
             assert entry == json.loads(render_agreement(expected, "json"))[0], as_of
             taus.append(entry["kendall_tau"])
         assert taus[0] != taus[1]
+
+    @pytest.mark.parametrize(
+        "text", ["", "season,committee_rank,team,conference,won_championship\n"], ids=["empty", "header-only"]
+    )
+    @pytest.mark.parametrize("games", [(), ("--games", DEMO_GAMES)], ids=["bundled-boards", "games"])
+    def test_selections_file_without_records_exits_one_saying_so(self, capsys, tmp_path, text, games):
+        selections = tmp_path / "picks.csv"
+        selections.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "compare", "--selections", str(selections), *games)
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: --selections: {selections} holds no selection records\n"
 
     def test_flag_combinations_rejected_before_any_file_is_read(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.csv")

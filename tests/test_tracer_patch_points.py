@@ -1,7 +1,8 @@
 """The benchmark tracer wraps package functions by attribute name
 (`cli.replay`, `engine.rank_teams`, the `analysis.render_*` functions, ...).
-A refactor that drops one of those names breaks `bench/run.py --trace 1`;
-this test fails first."""
+A refactor that drops one of those names, or binds one before the tracer
+patches it, breaks or silently thins `bench/run.py --trace 1`; this test
+fails first."""
 
 import contextlib
 import io
@@ -9,9 +10,25 @@ import sys
 import types
 from pathlib import Path
 
-from cfbelo import cli
+import pytest
+
+from cfbelo import analysis, cli, engine, evaluation
 
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
+DEMO_GAMES = str(Path(__file__).parent.parent / "src" / "cfbelo" / "data" / "sample_games_2021_2023.csv")
+
+# The spans one traced op of each command records.
+PARSE = {"ingest.parse_games", "cli.report_ingest_problems"}
+SPANS = {
+    ("ingest", "--format", "csv"): PARSE | {"ingest.games_to_csv"},
+    ("rate",): PARSE | {"engine.replay", "engine.rank_teams", "analysis.render"},
+    ("snapshot",): PARSE | {"engine.snapshot_at", "engine.rank_teams", "analysis.render"},
+    ("compare", "--agreement-report"): PARSE | {
+        "engine.rank_teams", "analysis.compare_all", "analysis.reference_agreement", "analysis.render",
+    },
+    ("backtest",): PARSE | {"evaluation.backtest", "analysis.render"},
+    ("sweep",): PARSE | {"evaluation.sweep_k", "analysis.render"},
+}
 
 
 def load_tracer(monkeypatch):
@@ -23,17 +40,31 @@ def load_tracer(monkeypatch):
     return module
 
 
-def test_traced_rate_records_engine_and_render_spans(monkeypatch):
+def traced(monkeypatch, argv):
+    """Run `cfbelo ARGV` under the tracer; returns its exit code, stdout and span names."""
     tracing = load_tracer(monkeypatch)
     tracer = tracing.Tracer()
-    replay = cli.replay
+    modules = (analysis, cli, engine, evaluation)
+    before = [dict(vars(m)) for m in modules]
     try:
         tracing.install_layer_spans(tracer)
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert cli.main(["rate", "--format", "json"]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
     finally:
         tracer.unpatch()
-    assert out.getvalue().startswith("{")
-    names = {span.name for span in tracer.spans}
+    assert [dict(vars(m)) for m in modules] == before  # every patch is undone
+    return code, out.getvalue(), {span.name for span in tracer.spans}
+
+
+def test_traced_rate_records_engine_and_render_spans(monkeypatch):
+    code, out, names = traced(monkeypatch, ["rate", "--format", "json"])
+    assert code == 0
+    assert out.startswith("{")
     assert {"engine.replay", "analysis.render"} <= names
-    assert cli.replay is replay
+
+
+@pytest.mark.parametrize("argv", sorted(SPANS), ids=lambda argv: " ".join(argv))
+def test_each_command_records_its_layer_spans(monkeypatch, argv):
+    code, out, names = traced(monkeypatch, [*argv, "--games", DEMO_GAMES])
+    assert code == 0 and out
+    assert names == SPANS[argv]
