@@ -381,12 +381,9 @@ def json_records(records: Iterable[dict]) -> Iterator[str]:
 
 
 def _canonical_format(fmt: str) -> str:
-    name = fmt.strip().lower()
-    if name == "plain-table":
-        name = "table"
-    if name not in FORMATS:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (choose from table, csv, json)")
-    return name
+    return fmt
 
 
 def format_table(header: list[str], rows: list[list[str]]) -> str:

@@ -255,18 +255,28 @@ def _report_ingest_problems(parsed: ParsedGames) -> None:
 
 
 def _load_selections(args: argparse.Namespace, aliases: dict[str, str]) -> list[SelectionRecord]:
-    if args.selections:
-        with _user_errors("--selections: "):
-            parse = lambda f: parse_selections(f.read().decode("utf-8"), aliases=aliases)  # noqa: E731
-            return _read_file(args.selections, "selections", parse)
-    return list(datasets.bundled_selections())
+    """The records of --selections, at least one, or the bundled ones when the flag is not given."""
+    if not args.selections:
+        return list(datasets.bundled_selections())
+    with _user_errors("--selections: "):
+        parse = lambda f: parse_selections(f.read().decode("utf-8"), aliases=aliases)  # noqa: E731
+        records = _read_file(args.selections, "selections", parse)
+    if not records:
+        raise CliError(f"--selections: {args.selections} holds no selection records")
+    return records
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write a report, whole or in the pieces it is encoded in, to stdout or the --out file."""
     pieces = (text,) if isinstance(text, str) else text
     if not out:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise CliError(f"cannot write to stdout: {exc}") from None
         return
     try:
         with Path(out).open("w", encoding="utf-8") as f:
@@ -334,6 +344,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             as_of = default_cut_date(games, season=args.season)
     season = args.season if args.season is not None else _season_of_date(as_of)
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
+    if args.selections and not selections:
+        note = f"{args.selections} holds no selection records for {season}; the CFP column is empty"
+        print(f"{PROG}: note: --selections: {note}", file=sys.stderr)
     snapshot = snapshot_at(
         games, as_of, cfg, policy, top_n=args.top_n,
         label=_board_label(season, as_of), conferences=datasets.bundled_conferences(),
@@ -357,8 +370,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         selections = [r for r in selections if r.season == args.season]
         if not selections:
             raise CliError(f"--season: no selection records for {args.season}")
-    if not selections:
-        raise CliError(f"--selections: {args.selections} holds no selection records")
 
     if args.games:
         games = _load_games(args, aliases)

@@ -96,30 +96,16 @@ class CarryoverPolicy:
             raise ValueError(f"regress rho must be within [0, 1], got {self.rho}")
 
     @classmethod
-    def full(cls) -> "CarryoverPolicy":
-        return cls("full")
-
-    @classmethod
-    def reset(cls) -> "CarryoverPolicy":
-        return cls("reset")
-
-    @classmethod
-    def regress(cls, rho: float) -> "CarryoverPolicy":
-        return cls("regress", rho)
-
-    @classmethod
     def parse(cls, text: str) -> "CarryoverPolicy":
         """Parse the CLI spelling: "full", "reset", or "regress:RHO"."""
-        if text == "full":
-            return cls.full()
-        if text == "reset":
-            return cls.reset()
+        if text in ("full", "reset"):
+            return cls(text)
         if text.startswith("regress:"):
             try:
                 rho = float(text.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad regress factor in {text!r}") from None
-            return cls.regress(rho)
+            return cls("regress", rho)
         raise ValueError(f"unknown carryover policy {text!r} (use full, reset, or regress:RHO)")
 
     def apply(self, ratings: dict[str, float], initial: float) -> dict[str, float]:
@@ -128,9 +114,6 @@ class CarryoverPolicy:
         if self.mode == "reset":
             return {team: initial for team in ratings}
         return {team: initial + self.rho * (r - initial) for team, r in ratings.items()}
-
-    def __str__(self) -> str:
-        return f"regress:{self.rho}" if self.mode == "regress" else self.mode
 
 
 @dataclass(frozen=True)
@@ -181,21 +164,10 @@ def ordered(games: Iterable[Game]) -> list[Game]:
     return sorted(games, key=attrgetter("date"))
 
 
-def replay_stream(
-    games: Iterable[Game],
-    cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
-    cuts: Iterable[dt.date] = (),
-) -> tuple[RatingState, dict[dt.date, dict[str, float]]]:
-    """The one-config case of `replay_arms`: the final state and the cut boards."""
-    state, boards, _ = replay_arms(games, (cfg,), policy, cuts)[0]
-    return state, boards
-
-
 def replay_arms(
     games: Iterable[Game],
     cfgs: Sequence[EloConfig],
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
     cuts: Iterable[dt.date] = (),
     window: tuple[float, float] | None = None,
 ) -> list[tuple[RatingState, dict[dt.date, dict[str, float]], array]]:
@@ -262,10 +234,10 @@ def _require_finite(ratings: Mapping[str, float], where: str) -> None:
 def replay(
     games: Sequence[Game],
     cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
 ) -> RatingState:
     """Fold every game in date order, handling season boundaries."""
-    return replay_stream(games, cfg, policy)[0]
+    return replay_arms(games, (cfg,), policy)[0][0]
 
 
 def rank_teams(
@@ -293,7 +265,7 @@ def snapshot_at(
     games: Sequence[Game],
     as_of: dt.date,
     cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
     top_n: int | None = None,
     label: str | None = None,
     conferences: Mapping[str, str] | None = None,
@@ -311,7 +283,7 @@ def snapshots_at(
     games: Iterable[Game],
     cuts: Mapping[str, dt.date],
     cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
     top_n: int | None = None,
     conferences: Mapping[str, str] | None = None,
 ) -> list[Snapshot]:
@@ -322,7 +294,7 @@ def snapshots_at(
     add an ordering error.
     """
     last_cut = max(cuts.values(), default=dt.date.min)
-    _, boards = replay_stream([g for g in games if g.date <= last_cut], cfg, policy, cuts.values())
+    _, boards, _ = replay_arms([g for g in games if g.date <= last_cut], (cfg,), policy, cuts.values())[0]
     return [
         Snapshot(label, cut, rank_teams(boards[cut], top_n=top_n, conferences=conferences))
         for label, cut in cuts.items()

@@ -40,7 +40,7 @@ class SyntheticLeague:
 def prediction_records(
     games: Sequence[Game],
     cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
     eval_window: tuple[int, int] | None = None,
 ) -> list[PredictionRecord]:
     """Replay every game, recording the winner's pre-update win probability
@@ -85,7 +85,7 @@ def _summary(p_winners: Sequence[float], eval_window: tuple[int, int] | None = N
 def backtest(
     games: Sequence[Game],
     cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
     eval_window: tuple[int, int] | None = None,
 ) -> EvalSummary:
     """Replay the stream and score predictions inside the eval window."""
@@ -96,7 +96,7 @@ def backtest(
 def sweep_k(
     games: Sequence[Game],
     k_values: Sequence[float],
-    policy: CarryoverPolicy = CarryoverPolicy.full(),
+    policy: CarryoverPolicy = CarryoverPolicy(),
     eval_window: tuple[int, int] | None = None,
     base_cfg: EloConfig = EloConfig(),
 ) -> list[tuple[float, EvalSummary]]:

@@ -219,10 +219,6 @@ class TestRenderReport:
         first = lines[3].split()
         assert first == ["1", "Michigan", "Big", "Ten", "2174", "1"]
 
-    def test_plain_table_alias_accepted(self):
-        snap = bundled_snapshots()[2023]
-        assert render_report(snap, "plain-table") == render_report(snap, "table")
-
     def test_empty_snapshot_renders_header_only(self):
         empty = Snapshot(label="empty", as_of=dt.date(2023, 12, 3), entries=())
         text = render_report(empty, "table")

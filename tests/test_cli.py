@@ -1,7 +1,9 @@
 import contextlib
 import datetime as dt
+import errno
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -19,6 +21,7 @@ from cfbelo.ingest import parse_games
 from naive_elo import naive_replay
 
 GAMES_HEADER = "season,date,week,home_team,away_team,home_points,away_points,neutral_site"
+DEMO_GAMES = "src/cfbelo/data/sample_games_2021_2023.csv"
 
 THREE_GAME_FIXTURE = "\n".join(
     [
@@ -141,6 +144,24 @@ class TestExitCodes:
         assert code == 1
         assert "--out" in err
 
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (OSError(errno.ENOSPC, "No space left on device"), "cannot write to stdout: [Errno 28] No space left on device"),
+            (BrokenPipeError(errno.EPIPE, "Broken pipe"), None),
+        ],
+        ids=["full", "broken-pipe"],
+    )
+    @pytest.mark.parametrize("argv", [("stats",), ("ingest", "--games", DEMO_GAMES, "--format", "json")], ids=["stats", "ingest"])
+    def test_failed_write_to_stdout_exits_one(self, capsys, monkeypatch, error, message, argv):
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (1, f"cfbelo: error: {message}\n" if message else "")
+
     def test_help_exits_zero_listing_flags(self, capsys):
         for command, flags in {
             "rate": ["--games", "--k", "--initial", "--scale", "--carryover", "--format", "--out"],
@@ -183,9 +204,6 @@ class TestExitCodes:
         for command in commands:
             code, out, err = run(capsys, command, flag, value, *games)
             assert (code, out, err) == (1, "", f"cfbelo: error: {error}\n"), command
-
-
-DEMO_GAMES = "src/cfbelo/data/sample_games_2021_2023.csv"
 
 
 class TestRatingOverflow:
@@ -431,6 +449,9 @@ class TestOverLongInput:
         assert err == f"cfbelo: error: --aliases: {aliases}: JSON nested too deeply to parse\n"
 
 
+SELECTIONS_HEADER = b"season,committee_rank,team,conference,won_championship\n"
+
+
 class TestSelectionsAndAliasFiles:
     """Selections and alias files are decoded whole, as strict UTF-8, from
     their bytes: the CLI reads the same text the library is given."""
@@ -457,6 +478,35 @@ class TestSelectionsAndAliasFiles:
         assert err == f"cfbelo: error: --aliases: {aliases}: {direct.value}\n"
         assert err.endswith("(char 8)\n")  # the CR counts
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"", SELECTIONS_HEADER, SELECTIONS_HEADER.replace(b"\n", b"\r\n"), b"\xef\xbb\xbf" + SELECTIONS_HEADER],
+        ids=["empty", "header-only", "crlf", "bom"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("compare",), ("compare", "--games", DEMO_GAMES), ("compare", "--season", "2023"), ("stats",), ("snapshot",)],
+        ids=["bundled-boards", "games", "season", "stats", "snapshot"],
+    )
+    def test_selections_file_without_records_exits_one_saying_so(self, capsys, tmp_path, data, argv):
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(data)
+        code, out, err = run(capsys, *argv, "--selections", str(selections))
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: --selections: {selections} holds no selection records\n"
+
+    def test_snapshot_notes_a_selections_file_without_the_boards_season(self, capsys, tmp_path):
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(SELECTIONS_HEADER + b"".join(b"2014,%d,Team %d,SEC,false\n" % (r, r) for r in range(1, 5)))
+        code, out, err = run(capsys, "snapshot", "--selections", str(selections), "--format", "json")
+        assert (code, err) == (
+            0, f"cfbelo: note: --selections: {selections} holds no selection records for 2023; the CFP column is empty\n"
+        )
+        assert {e["cfp_rank"] for e in json.loads(out)["entries"]} == {None}
+        # The bundled selections end at 2023, and say nothing of a later board.
+        code, _, err = run(capsys, "snapshot", "--as-of", "2024-06-01")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("command", ["stats", "compare", "snapshot"])
     def test_a_bad_byte_outranks_a_bad_header(self, capsys, tmp_path, command):
         selections = tmp_path / "picks.csv"
@@ -464,6 +514,34 @@ class TestSelectionsAndAliasFiles:
         code, out, err = run(capsys, command, "--selections", str(selections))
         assert (code, out) == (1, "")
         assert err == f"cfbelo: error: selections file {selections} is not UTF-8: byte 20: invalid continuation byte\n"
+
+
+class TestSeasonCalendar:
+    @pytest.mark.parametrize(
+        "date, board, in_window",
+        [
+            ("2023-07-31", 2023, False),
+            ("2023-08-01", 2023, True),
+            ("2024-01-05", 2023, True),
+            ("2024-01-31", 2023, True),
+            ("2024-02-01", 2023, False),
+            ("2024-05-31", 2023, False),
+            ("2024-06-01", 2024, False),
+        ],
+    )
+    def test_as_of_board_season_and_ingest_window(self, capsys, tmp_path, date, board, in_window):
+        """`snapshot --as-of` names a board from a June-to-May year; ingest keeps
+        a season's games from Aug 1 to Jan 31."""
+        code, out, _ = run(capsys, "snapshot", "--as-of", date, "--format", "json")
+        assert (code, json.loads(out)["label"]) == (0, f"{board} board as of {date}")
+        games = tmp_path / "games.csv"
+        row = f"2023,{date},1,Michigan,Ohio State,21,7,false"
+        games.write_text(f"{GAMES_HEADER}\n{row}\n", encoding="utf-8")
+        code, out, err = run(capsys, "ingest", "--games", str(games))
+        if in_window:
+            assert (code, out, err) == (0, f"{GAMES_HEADER}\n{row}\n", "")
+        else:
+            assert (code, out, err) == (0, f"{GAMES_HEADER}\n", f"cfbelo: rejected 1 row(s):\n2,date_out_of_season,{row}\n")
 
 
 class TestRate:
@@ -591,17 +669,6 @@ class TestCompare:
             assert entry == json.loads(render_agreement(expected, "json"))[0], as_of
             taus.append(entry["kendall_tau"])
         assert taus[0] != taus[1]
-
-    @pytest.mark.parametrize(
-        "text", ["", "season,committee_rank,team,conference,won_championship\n"], ids=["empty", "header-only"]
-    )
-    @pytest.mark.parametrize("games", [(), ("--games", DEMO_GAMES)], ids=["bundled-boards", "games"])
-    def test_selections_file_without_records_exits_one_saying_so(self, capsys, tmp_path, text, games):
-        selections = tmp_path / "picks.csv"
-        selections.write_text(text, encoding="utf-8")
-        code, out, err = run(capsys, "compare", "--selections", str(selections), *games)
-        assert (code, out) == (1, "")
-        assert err == f"cfbelo: error: --selections: {selections} holds no selection records\n"
 
     def test_flag_combinations_rejected_before_any_file_is_read(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.csv")

@@ -49,8 +49,8 @@ class TestExpectedScore:
         rng = random.Random(37)
         for _ in range(500):
             r_a, r_b = rng.uniform(800, 2800), rng.uniform(800, 2800)
-            cfg = EloConfig(scale=rng.choice([400.0, 173.0]), base=rng.choice([10.0, 2.5]))
-            expected = 1.0 / (1.0 + cfg.base ** ((r_b - r_a) / cfg.scale))
+            cfg = EloConfig(scale=rng.choice([400.0, 173.0]))
+            expected = 1.0 / (1.0 + 10.0 ** ((r_b - r_a) / cfg.scale))
             assert win_probability(r_a, r_b, cfg) == expected
             assert expected_score(r_a, r_b, cfg).p_a == expected
 
@@ -140,7 +140,7 @@ class TestUpdatePair:
 
 class TestEloConfig:
     def test_defaults(self):
-        assert (CFG.initial_rating, CFG.k_factor, CFG.scale, CFG.base) == (1500, 25, 400, 10)
+        assert (CFG.initial_rating, CFG.k_factor, CFG.scale) == (1500, 25, 400)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -148,8 +148,6 @@ class TestEloConfig:
             {"k_factor": 0},
             {"k_factor": -5},
             {"scale": 0},
-            {"base": 1.0},
-            {"base": 0.5},
             {"initial_rating": float("inf")},
             {"k_factor": float("nan")},
         ],
@@ -159,19 +157,23 @@ class TestEloConfig:
             EloConfig(**kwargs)
 
 
-# The formula and update rule as they read before `kernel` existed, kept as
-# the reference the kernel must match bit for bit.
+# The formula and update rule as they read before `kernel` existed, with the
+# odds base pinned to the model's 10, kept as the reference the kernel must
+# match bit for bit.
+BASE = 10.0
+
+
 def reference_win_probability(r_a, r_b, cfg):
     for value, name in ((r_a, "r_a"), (r_b, "r_b")):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite rating, got {float(value)!r}")
     exponent = (r_b - r_a) / cfg.scale
-    magnitude = exponent * math.log10(cfg.base)
+    magnitude = exponent * math.log10(BASE)
     if magnitude > 300.0:
         return 0.0
     if magnitude < -300.0:
         return 1.0
-    return 1.0 / (1.0 + cfg.base**exponent)
+    return 1.0 / (1.0 + BASE**exponent)
 
 
 def reference_step(r_a, r_b, a_won, cfg):
@@ -189,7 +191,6 @@ CONFIGS = st.builds(
     initial_rating=st.just(1500.0),
     k_factor=st.sampled_from([25.0, 5.0, 100.0, 1e-9, 1e308]),
     scale=st.sampled_from([400.0, 173.0, 1e-300]),
-    base=st.sampled_from([10.0, 2.5, math.e]),
 )
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -204,7 +205,7 @@ def rating_pairs(draw):
         return cfg, draw(FINITE), draw(FINITE)
     if kind == "edge":
         r_a = draw(st.floats(-1e6, 1e6))
-        gap = draw(st.sampled_from([-300.0, 300.0])) * cfg.scale / math.log10(cfg.base)
+        gap = draw(st.sampled_from([-300.0, 300.0])) * cfg.scale
         for _ in range(draw(st.integers(-3, 3))):
             gap = math.nextafter(gap, math.inf)
         return cfg, r_a, r_a + gap

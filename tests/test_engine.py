@@ -22,7 +22,7 @@ from cfbelo.engine import (
     ordered,
     rank_teams,
     replay,
-    replay_stream,
+    replay_arms,
     snapshot_at,
     snapshots_at,
 )
@@ -102,7 +102,7 @@ class TestApplyGame:
 
 class TestReplay:
     def test_empty_stream_is_identity(self):
-        state = replay([], CFG, CarryoverPolicy.full())
+        state = replay([], CFG, CarryoverPolicy())
         assert state.ratings == {}
         assert state.games_applied == 0
         assert state.last_date is None
@@ -117,16 +117,16 @@ class TestReplay:
     def test_single_season_reset_equals_full(self):
         pairs = [("A", "B"), ("C", "A"), ("B", "C"), ("A", "C")]
         games = winner_loser_games(pairs)
-        full = replay(games, CFG, CarryoverPolicy.full())
-        reset = replay(games, CFG, CarryoverPolicy.reset())
+        full = replay(games, CFG, CarryoverPolicy())
+        reset = replay(games, CFG, CarryoverPolicy("reset"))
         assert full.ratings == reset.ratings
 
     def test_regress_zero_equals_reset_across_seasons(self):
         year_one = winner_loser_games([("A", "B"), ("B", "C")], season=2022, start="2022-09-03")
         year_two = winner_loser_games([("C", "A"), ("A", "B")], season=2023, start="2023-09-02")
         games = year_one + year_two
-        regress0 = replay(games, CFG, CarryoverPolicy.regress(0.0))
-        reset = replay(games, CFG, CarryoverPolicy.reset())
+        regress0 = replay(games, CFG, CarryoverPolicy("regress", 0.0))
+        reset = replay(games, CFG, CarryoverPolicy("reset"))
         assert regress0.ratings == pytest.approx(reset.ratings)
 
     def test_full_carryover_keeps_ratings_across_seasons(self):
@@ -191,7 +191,7 @@ class TestReplay:
 
     @pytest.mark.parametrize(
         "policy",
-        [CarryoverPolicy.full(), CarryoverPolicy.reset(), CarryoverPolicy.regress(0.6)],
+        [CarryoverPolicy(), CarryoverPolicy("reset"), CarryoverPolicy("regress", 0.6)],
     )
     def test_conservation_holds_across_season_boundaries(self, policy):
         rng = random.Random(107)
@@ -208,8 +208,8 @@ class TestReplay:
         year_one = winner_loser_games([("A", "B"), ("B", "C")], season=2022, start="2022-09-03")
         year_two = winner_loser_games([("C", "A")], season=2023, start="2023-09-02")
         games = year_one + year_two
-        assert replay(games, CFG, CarryoverPolicy.regress(1.0)).ratings == pytest.approx(
-            replay(games, CFG, CarryoverPolicy.full()).ratings
+        assert replay(games, CFG, CarryoverPolicy("regress", 1.0)).ratings == pytest.approx(
+            replay(games, CFG, CarryoverPolicy()).ratings
         )
 
 
@@ -297,8 +297,8 @@ class TestDefaultCutDate:
 
 
 POLICIES = st.one_of(
-    st.sampled_from([CarryoverPolicy.full(), CarryoverPolicy.reset()]),
-    st.floats(0.0, 1.0).map(CarryoverPolicy.regress),
+    st.sampled_from([CarryoverPolicy(), CarryoverPolicy("reset")]),
+    st.floats(0.0, 1.0).map(lambda rho: CarryoverPolicy("regress", rho)),
 )
 
 
@@ -328,12 +328,12 @@ def cut_dates(draw, games):
     return cuts | set(draw(st.lists(near, max_size=3)))
 
 
-class TestReplayStream:
+class TestOneArmReplay:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), multi_season_games(), POLICIES)
     def test_cut_boards_equal_replay_of_visible_games(self, data, games, policy):
         cuts = data.draw(cut_dates(games))
-        _, boards = replay_stream(games, CFG, policy, cuts)
+        _, boards, _ = replay_arms(games, (CFG,), policy, cuts)[0]
         assert set(boards) == cuts
         assert list(boards) == sorted(cuts)
         for cut in cuts:
@@ -343,7 +343,7 @@ class TestReplayStream:
     @settings(max_examples=60, deadline=None)
     @given(multi_season_games(), POLICIES)
     def test_final_ratings_match_boundary_oracle(self, games, policy):
-        state, _ = replay_stream(games, CFG, policy)
+        state, _, _ = replay_arms(games, (CFG,), policy)[0]
         blocks = [
             [(g.winner, g.loser) for g in block]
             for _, block in itertools.groupby(ordered(games), key=lambda g: g.season)
@@ -364,15 +364,15 @@ class TestReplayStream:
             game(2023, "2023-09-02", "E", "F", 21, 7),
         ]
         cfg = EloConfig(initial_rating=1e308, k_factor=1.2e308)
-        assert all(map(math.isfinite, replay(games, cfg, CarryoverPolicy.reset()).ratings.values()))
+        assert all(map(math.isfinite, replay(games, cfg, CarryoverPolicy("reset")).ratings.values()))
         with pytest.raises(RatingOverflowError, match=r"at the cut on 2023-01-01: 'A' is at inf"):
-            replay_stream(games, cfg, CarryoverPolicy.reset(), [dt.date(2023, 1, 1)])
+            replay_arms(games, (cfg,), CarryoverPolicy("reset"), [dt.date(2023, 1, 1)])
 
     def test_overflow_names_the_game_that_read_it(self):
         games = [game(2023, "2023-09-02", "A", "B", 21, 7), game(2023, "2023-09-09", "A", "C", 21, 7)]
         cfg = EloConfig(initial_rating=1.7e308, k_factor=1e308)
         with pytest.raises(RatingOverflowError, match=r"by game 1 on 2023-09-09: 'A' is at inf"):
-            replay_stream(games, cfg)
+            replay_arms(games, (cfg,))
 
 
 def season_blocks(games):

@@ -167,8 +167,8 @@ class TestSweep:
 
 
 POLICIES = st.one_of(
-    st.sampled_from([CarryoverPolicy.full(), CarryoverPolicy.reset()]),
-    st.floats(0.0, 1.0).map(CarryoverPolicy.regress),
+    st.sampled_from([CarryoverPolicy(), CarryoverPolicy("reset")]),
+    st.floats(0.0, 1.0).map(lambda rho: CarryoverPolicy("regress", rho)),
 )
 WINDOWS = st.one_of(
     st.none(),

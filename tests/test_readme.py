@@ -1,0 +1,37 @@
+"""Every library name the README's "Library use" section gives exists."""
+
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def library_use_names():
+    """The dotted `cfbelo.…` names and the names the code imports from cfbelo,
+    in the README's "Library use" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"\bcfbelo(?:\.\w+)+", section))
+    for module, imported in re.findall(r"^from (cfbelo[\w.]*) import (.+)$", section, re.M):
+        names.update(f"{module}.{name.strip()}" for name in imported.split(","))
+    return names
+
+
+def unresolved(names):
+    """The names that are neither an attribute nor a submodule of what precedes them."""
+    missing = []
+    for name in sorted(names):
+        obj = importlib.import_module("cfbelo")
+        try:
+            for part in name.split(".")[1:]:
+                obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(f"{obj.__name__}.{part}")
+        except ImportError:
+            missing.append(name)
+    return missing
+
+
+def test_every_library_name_in_the_readme_resolves():
+    names = library_use_names()
+    assert {"cfbelo.snapshot_at", "cfbelo.elo.kernel"} <= names  # both spellings are read
+    assert unresolved(names) == []
