@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -219,9 +220,9 @@ def _model(args: argparse.Namespace) -> tuple[EloConfig, CarryoverPolicy]:
     """The validated Elo config and carryover policy of a replaying command."""
     if "top_n" in args and args.top_n is not None and args.top_n < 0:
         raise CliError(f"--top-n must be non-negative, got {args.top_n}")
-    k = {"k_factor": args.k} if "k" in args else {}  # sweep's K values are its arms
+    ks = (args.k_values or SWEEP_KS) if "k_values" in args else (args.k,)  # sweep's K values are its arms
     with _user_errors():
-        cfg = EloConfig(initial_rating=args.initial, scale=args.scale, **k)
+        cfg, *_ = [EloConfig(initial_rating=args.initial, k_factor=k, scale=args.scale) for k in ks]
     with _user_errors("--carryover: "):
         return cfg, CarryoverPolicy.parse(args.carryover)
 
@@ -273,9 +274,14 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
-        except BrokenPipeError:
-            raise
         except OSError as exc:
+            # Point stdout's fd at devnull, so the flush at exit drops what is
+            # still buffered instead of failing again and exiting 120.
+            with suppress(OSError):  # a stdout without an fd, such as a StringIO
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            if isinstance(exc, BrokenPipeError):
+                raise
             raise CliError(f"cannot write to stdout: {exc}") from None
         return
     try:

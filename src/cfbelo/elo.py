@@ -1,26 +1,18 @@
-"""Core Elo mathematics: expected score and the paired zero-sum rating update.
+"""Core Elo mathematics: the win probability and the paired zero-sum rating update.
 
 `kernel` holds the one copy of the formula: it binds a config to a ratings
 dict and plays one game at a time on it, so a kernel shares that dict with
-its caller. The other functions are pure, over plain floats, and go through
-a kernel bound to a dict of their own.
+its caller. `win_probability` and `update_pair` are pure, over plain floats,
+and go through a kernel bound to a dict of their own.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 Rating = float
-
-
-class Winner(enum.Enum):
-    """Which side won a game. Draws are not representable on purpose."""
-
-    A = "A"
-    B = "B"
 
 
 @dataclass(frozen=True)
@@ -42,18 +34,6 @@ class EloConfig:
             raise ValueError("k_factor must be a positive finite number")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be a positive finite number")
-
-
-@dataclass(frozen=True)
-class MatchExpectation:
-    """Pre-game win probabilities for the two sides of one game."""
-
-    p_a: float
-
-    @property
-    def p_b(self) -> float:
-        # Derived, never stored, so p_a + p_b is exactly 1.
-        return 1.0 - self.p_a
 
 
 def _saturated(r_a: float, r_b: float, exponent: float) -> float:
@@ -106,23 +86,13 @@ def win_probability(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> f
     return kernel(cfg, {"a": r_a, "b": r_b})("a", "b", True, True)
 
 
-def expected_score(r_a: Rating, r_b: Rating, cfg: EloConfig = EloConfig()) -> MatchExpectation:
-    """Both sides' win probabilities; see `win_probability`."""
-    return MatchExpectation(p_a=win_probability(r_a, r_b, cfg))
-
-
-def update_pair(
-    r_a: Rating,
-    r_b: Rating,
-    winner: Winner,
-    cfg: EloConfig = EloConfig(),
-) -> tuple[Rating, Rating]:
-    """Post-game ratings for both sides, through `kernel`.
+def update_pair(r_a: Rating, r_b: Rating, a_won: bool, cfg: EloConfig = EloConfig()) -> tuple[Rating, Rating]:
+    """Post-game ratings for both sides of one game, won by A if `a_won`, through `kernel`.
 
     Each side moves by k * (outcome - expectation). The winner gains what the
     loser drops, so the rating sum is conserved, and the step magnitude is
     strictly below k for finite inputs.
     """
     ratings = {"a": r_a, "b": r_b}
-    kernel(cfg, ratings)("a", "b", winner is Winner.A, False)
+    kernel(cfg, ratings)("a", "b", a_won, False)
     return ratings["a"], ratings["b"]

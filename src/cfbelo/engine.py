@@ -12,7 +12,7 @@ import datetime as dt
 import math
 from array import array
 from operator import attrgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .elo import EloConfig, kernel
@@ -29,7 +29,7 @@ class TiedScoreError(InvalidGameError):
 
 
 class OutOfOrderError(ValueError):
-    """Games were applied against the chronological order of the stream."""
+    """A season decreases along the date order of the games."""
 
 
 class RatingOverflowError(ValueError):
@@ -71,9 +71,9 @@ class Game:
 class RatingState:
     """All teams' current ratings plus how far the replay has advanced."""
 
-    ratings: dict[str, float] = field(default_factory=dict)
-    games_applied: int = 0
-    last_date: dt.date | None = None
+    ratings: dict[str, float]
+    games_applied: int
+    last_date: dt.date | None
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,6 @@ class Snapshot:
 
     def top(self, n: int) -> tuple[SnapshotEntry, ...]:
         return self.entries[:n]
-
-
-def apply_game(state: RatingState, game: Game, cfg: EloConfig = EloConfig()) -> RatingState:
-    """Apply a single game, returning the new state.
-
-    Teams not seen before enter at cfg.initial_rating. Only the two
-    participants' ratings change. A new rating that is not finite raises RatingOverflowError.
-    """
-    if state.last_date is not None and game.date < state.last_date:
-        raise OutOfOrderError(
-            f"game on {game.date} applied after state already at {state.last_date}"
-        )
-    ratings = dict(state.ratings)
-    a, b = game.team_a, game.team_b
-    kernel(cfg, ratings)(a, b, game.score_a > game.score_b, False)
-    _require_finite({a: ratings[a], b: ratings[b]}, f"after game {state.games_applied} on {game.date}")
-    return RatingState(ratings=ratings, games_applied=state.games_applied + 1, last_date=game.date)
 
 
 def ordered(games: Iterable[Game]) -> list[Game]:

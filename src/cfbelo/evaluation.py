@@ -102,8 +102,6 @@ def sweep_k(
 ) -> list[tuple[float, EvalSummary]]:
     """Independent backtests over the same game stream, one per K value, all
     advanced in one replay and returned in the order the K values were given."""
-    if any(k <= 0 for k in k_values):
-        raise ValueError("all K values must be positive")
     cfgs = [replace(base_cfg, k_factor=k) for k in k_values]
     arms = replay_arms(games, cfgs, policy, window=eval_window or (-math.inf, math.inf))
     return [(k, _summary(p_winners, eval_window)) for k, (_, _, p_winners) in zip(k_values, arms)]
@@ -115,14 +113,13 @@ def simulate_league(
     strength_spread: float,
     seed: int,
     season: int = 2000,
-    cfg: EloConfig = EloConfig(),
 ) -> SyntheticLeague:
     """Round-robin league with hidden strengths and logistic outcomes.
 
-    Strengths are evenly spaced across the spread, centered on the initial
-    rating. Each round plays every pairing once in a shuffled order, and each
-    winner is drawn with the same logistic win probability the rating model
-    uses, applied to the true strengths. Same seed, same league.
+    Strengths are evenly spaced across the spread, centered on the default
+    initial rating. Each round plays every pairing once in a shuffled order,
+    and each winner is drawn with the default model's logistic win
+    probability, applied to the true strengths. Same seed, same league.
     """
     if n_teams < 2:
         raise ValueError("need at least 2 teams")
@@ -130,13 +127,13 @@ def simulate_league(
         raise ValueError("need at least 1 round")
     rng = random.Random(seed)
     teams = [f"Team {i + 1:02d}" for i in range(n_teams)]
-    lo = cfg.initial_rating - strength_spread / 2.0
+    lo = EloConfig().initial_rating - strength_spread / 2.0
     step = strength_spread / (n_teams - 1)
     strengths = {team: lo + i * step for i, team in enumerate(teams)}
 
     pairings = [(a, b) for i, a in enumerate(teams) for b in teams[i + 1 :]]
     # Strengths never change, so each pairing's odds are worked out once.
-    odds = {(a, b): win_probability(strengths[a], strengths[b], cfg) for a, b in pairings}
+    odds = {(a, b): win_probability(strengths[a], strengths[b]) for a, b in pairings}
     start = dt.date(season, 9, 1)
     # Rounds spread across September..December so dates stay inside a
     # plausible season window however many rounds are asked for.

@@ -14,7 +14,7 @@ import pytest
 from cfbelo.analysis import compare_all, selection_stats
 from cfbelo.cli import main
 from cfbelo.datasets import bundled_selections, bundled_snapshots
-from cfbelo.elo import EloConfig, expected_score
+from cfbelo.elo import EloConfig, win_probability
 from cfbelo.engine import Game, replay, snapshot_at
 from cfbelo.evaluation import backtest, kendall_tau, simulate_league
 
@@ -39,11 +39,11 @@ def test_criterion_1_formula_correctness():
     shifts = [rng.uniform(-600, 600) for _ in range(10_000)]
     graded = []
     for (r_a, r_b), shift in zip(pairs, shifts):
-        p = expected_score(r_a, r_b).p_a
-        if abs(p + expected_score(r_b, r_a).p_a - 1.0) > 1e-12:
+        p = win_probability(r_a, r_b)
+        if abs(p + win_probability(r_b, r_a) - 1.0) > 1e-12:
             failures.append(f"complement violated at ({r_a}, {r_b})")
             break
-        if abs(expected_score(r_a + shift, r_b + shift).p_a - p) > 1e-12:
+        if abs(win_probability(r_a + shift, r_b + shift) - p) > 1e-12:
             failures.append(f"translation invariance violated at ({r_a}, {r_b}) + {shift}")
             break
         graded.append((r_a - r_b, p))
@@ -52,7 +52,7 @@ def test_criterion_1_formula_correctness():
         if d2 > d1 and not p2 > p1:
             failures.append(f"monotonicity violated between diffs {d1} and {d2}")
             break
-    if abs(expected_score(1500, 1900).p_a - 1 / 11) > 1e-12:
+    if abs(win_probability(1500, 1900) - 1 / 11) > 1e-12:
         failures.append("(1500, 1900) is not 1/11")
     elapsed = time.perf_counter() - started
     if elapsed >= 1.0:

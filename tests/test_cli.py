@@ -3,6 +3,8 @@ import datetime as dt
 import errno
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -162,6 +164,19 @@ class TestExitCodes:
         code = main(list(argv))
         assert (code, capsys.readouterr().err) == (1, f"cfbelo: error: {message}\n" if message else "")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [("stats",), ("ingest", "--games", DEMO_GAMES, "--format", "csv")], ids=["stats", "ingest"])
+    def test_full_disk_exits_one_with_only_the_error_line(self, argv):
+        # Buffered stdout, as in a terminal-less run: the flush at exit must not fail again.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "cfbelo.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, text=True
+            )
+        error = "cfbelo: error: cannot write to stdout: [Errno 28] No space left on device\n"
+        assert (done.returncode, done.stderr) == (1, error)
+
     def test_help_exits_zero_listing_flags(self, capsys):
         for command, flags in {
             "rate": ["--games", "--k", "--initial", "--scale", "--carryover", "--format", "--out"],
@@ -192,8 +207,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value, error, commands",
         [
-            # sweep's --k is its list of K values, checked with the other sweep inputs
-            ("--k", "-1", "k_factor must be a positive finite number", ("rate", "snapshot", "compare", "backtest")),
+            ("--k", "-1", "k_factor must be a positive finite number", ("rate", "snapshot", "compare", "backtest", "sweep")),
             ("--scale", "0", "scale must be a positive finite number", REPLAYING),
             ("--carryover", "x", "--carryover: unknown carryover policy 'x' (use full, reset, or regress:RHO)", REPLAYING),
             ("--top-n", "-1", "--top-n must be non-negative, got -1", ("rate", "snapshot", "compare")),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbelo.elo import EloConfig, Winner, expected_score, kernel, update_pair, win_probability
+from cfbelo.elo import EloConfig, kernel, update_pair, win_probability
 
 from naive_elo import naive_expected
 
@@ -15,33 +15,29 @@ CFG = EloConfig()
 
 class TestExpectedScore:
     def test_equal_ratings_are_a_coin_flip(self):
-        assert expected_score(1500, 1500).p_a == 0.5
+        assert win_probability(1500, 1500) == 0.5
 
     def test_400_point_favorite_wins_ten_of_eleven(self):
         # exponent is exactly -1, so p = 1 / (1 + 1/10)
-        assert expected_score(1900, 1500).p_a == pytest.approx(10 / 11, abs=1e-12)
+        assert win_probability(1900, 1500) == pytest.approx(10 / 11, abs=1e-12)
 
     def test_400_point_underdog_is_the_complement(self):
-        assert expected_score(1500, 1900).p_a == pytest.approx(1 / 11, abs=1e-12)
-
-    def test_p_b_is_exact_complement(self):
-        exp = expected_score(1723.4, 1488.1)
-        assert exp.p_a + exp.p_b == 1.0
+        assert win_probability(1500, 1900) == pytest.approx(1 / 11, abs=1e-12)
 
     def test_matches_strength_weight_oracle(self):
         rng = random.Random(7)
         for _ in range(200):
             r_a = rng.uniform(1000, 2600)
             r_b = rng.uniform(1000, 2600)
-            assert expected_score(r_a, r_b).p_a == pytest.approx(
+            assert win_probability(r_a, r_b) == pytest.approx(
                 naive_expected(r_a, r_b), abs=1e-12
             )
 
     def test_rejects_non_finite_ratings(self):
         with pytest.raises(ValueError):
-            expected_score(float("nan"), 1500)
+            win_probability(float("nan"), 1500)
         with pytest.raises(ValueError):
-            expected_score(1500, float("inf"))
+            win_probability(1500, float("inf"))
 
     def test_win_probability_is_the_textbook_expression_bit_for_bit(self):
         # Pins the float operations and their order: ratings must stay
@@ -52,19 +48,18 @@ class TestExpectedScore:
             cfg = EloConfig(scale=rng.choice([400.0, 173.0]))
             expected = 1.0 / (1.0 + 10.0 ** ((r_b - r_a) / cfg.scale))
             assert win_probability(r_a, r_b, cfg) == expected
-            assert expected_score(r_a, r_b, cfg).p_a == expected
 
     def test_update_pair_names_the_non_finite_side(self):
         with pytest.raises(ValueError, match="r_a must be a finite rating, got nan"):
-            update_pair(float("nan"), float("inf"), Winner.A)
+            update_pair(float("nan"), float("inf"), True)
         with pytest.raises(ValueError, match="r_b must be a finite rating, got inf"):
-            update_pair(1500.0, float("inf"), Winner.B)
+            update_pair(1500.0, float("inf"), False)
 
     def test_huge_gap_saturates_without_overflow(self):
-        assert expected_score(1e9, 0.0).p_a == 1.0
-        assert expected_score(0.0, 1e9).p_a == 0.0
+        assert win_probability(1e9, 0.0) == 1.0
+        assert win_probability(0.0, 1e9) == 0.0
         # just inside the overflow guard: still strictly between 0 and 1
-        p = expected_score(0.0, 119000.0).p_a
+        p = win_probability(0.0, 119000.0)
         assert 0.0 < p < 1.0
 
 
@@ -74,7 +69,7 @@ class TestExpectedScoreProperties:
         for _ in range(1000):
             r_a = rng.uniform(800, 2800)
             r_b = rng.uniform(800, 2800)
-            total = expected_score(r_a, r_b).p_a + expected_score(r_b, r_a).p_a
+            total = win_probability(r_a, r_b) + win_probability(r_b, r_a)
             assert abs(total - 1.0) <= 1e-12
 
     def test_translation_invariance(self):
@@ -84,21 +79,21 @@ class TestExpectedScoreProperties:
             r_b = rng.uniform(800, 2800)
             shift = rng.uniform(-500, 500)
             assert abs(
-                expected_score(r_a + shift, r_b + shift).p_a - expected_score(r_a, r_b).p_a
+                win_probability(r_a + shift, r_b + shift) - win_probability(r_a, r_b)
             ) <= 1e-12
 
     def test_strictly_increasing_in_rating_gap(self):
         gaps = [-800, -200, -50, -1, 0, 1, 50, 200, 800]
-        probs = [expected_score(1500 + g, 1500).p_a for g in gaps]
+        probs = [win_probability(1500 + g, 1500) for g in gaps]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
 class TestUpdatePair:
     def test_even_game_moves_half_k(self):
-        assert update_pair(1500, 1500, Winner.A) == (1512.5, 1487.5)
+        assert update_pair(1500, 1500, True) == (1512.5, 1487.5)
 
     def test_heavy_favorite_gains_little(self):
-        r_a, r_b = update_pair(2000, 1500, Winner.A)
+        r_a, r_b = update_pair(2000, 1500, True)
         assert r_a == pytest.approx(2001.331, abs=1e-3)
         assert r_b == pytest.approx(1498.669, abs=1e-3)
         # frozen from the strength-weight oracle
@@ -110,8 +105,7 @@ class TestUpdatePair:
         for _ in range(500):
             r_a = rng.uniform(1000, 2600)
             r_b = rng.uniform(1000, 2600)
-            winner = Winner.A if rng.random() < 0.5 else Winner.B
-            new_a, new_b = update_pair(r_a, r_b, winner)
+            new_a, new_b = update_pair(r_a, r_b, rng.random() < 0.5)
             assert abs((new_a + new_b) - (r_a + r_b)) <= 1e-9
 
     def test_winner_up_loser_down_step_below_k(self):
@@ -119,7 +113,7 @@ class TestUpdatePair:
         for _ in range(500):
             r_a = rng.uniform(1000, 2600)
             r_b = rng.uniform(1000, 2600)
-            new_a, new_b = update_pair(r_a, r_b, Winner.A)
+            new_a, new_b = update_pair(r_a, r_b, True)
             assert new_a > r_a
             assert new_b < r_b
             assert 0 < new_a - r_a < CFG.k_factor
@@ -130,11 +124,11 @@ class TestUpdatePair:
         for _ in range(200):
             r_a = rng.uniform(1000, 1800)
             r_b = r_a + rng.uniform(1, 700)
-            new_a, _ = update_pair(r_a, r_b, Winner.A)
+            new_a, _ = update_pair(r_a, r_b, True)
             assert new_a - r_a > CFG.k_factor / 2
 
     def test_custom_k_scales_step(self):
-        new_a, new_b = update_pair(1500, 1500, Winner.B, EloConfig(k_factor=50))
+        new_a, new_b = update_pair(1500, 1500, False, EloConfig(k_factor=50))
         assert (new_a, new_b) == (1475.0, 1525.0)
 
 
@@ -222,7 +216,6 @@ class TestKernel:
     @given(rating_pairs(), st.booleans(), st.booleans())
     def test_kernel_is_bit_equal_to_the_reference_step(self, drawn, a_won, scored):
         cfg, r_a, r_b = drawn
-        winner = Winner.A if a_won else Winner.B
         ratings = {"A": r_a, "B": r_b}
         play = kernel(cfg, ratings)
         try:
@@ -232,7 +225,7 @@ class TestKernel:
                 play("A", "B", a_won, scored)
             assert str(raised.value) == str(exc)
             with pytest.raises(ValueError) as raised:
-                update_pair(r_a, r_b, winner, cfg)
+                update_pair(r_a, r_b, a_won, cfg)
             assert str(raised.value) == str(exc)
             assert bits(ratings["A"]) == bits(r_a) and bits(ratings["B"]) == bits(r_b)
             return
@@ -244,7 +237,7 @@ class TestKernel:
             assert bits(p_winner) == bits(p_a if a_won else reference_win_probability(r_b, r_a, cfg))
         else:
             assert p_winner is None
-        assert list(map(bits, update_pair(r_a, r_b, winner, cfg))) == [bits(new_a), bits(new_b)]
+        assert list(map(bits, update_pair(r_a, r_b, a_won, cfg))) == [bits(new_a), bits(new_b)]
         assert bits(win_probability(r_a, r_b, cfg)) == bits(p_a)
 
     def test_unplayed_teams_start_at_the_initial_rating(self):

@@ -14,9 +14,7 @@ from cfbelo.engine import (
     InvalidGameError,
     OutOfOrderError,
     RatingOverflowError,
-    RatingState,
     TiedScoreError,
-    apply_game,
     default_cut_date,
     default_cuts,
     ordered,
@@ -62,42 +60,6 @@ class TestGame:
     def test_negative_score_rejected(self):
         with pytest.raises(InvalidGameError):
             game(2023, "2023-09-02", "A", "B", -1, 7)
-
-
-class TestApplyGame:
-    def test_upset_free_update_splits_k(self):
-        state = RatingState(ratings={"A": 1500.0, "B": 1500.0})
-        after = apply_game(state, game(2023, "2023-09-02", "B", "A", 10, 3), CFG)
-        assert after.ratings == {"A": 1487.5, "B": 1512.5}
-        assert after.games_applied == 1
-        assert after.last_date == dt.date(2023, 9, 2)
-
-    def test_unseen_teams_enter_at_initial(self):
-        after = apply_game(RatingState(), game(2023, "2023-09-02", "A", "B", 7, 3), CFG)
-        assert set(after.ratings) == {"A", "B"}
-        assert after.ratings["A"] == 1512.5
-        assert after.ratings["B"] == 1487.5
-
-    def test_only_participants_change(self):
-        state = RatingState(ratings={"A": 1600.0, "B": 1400.0, "C": 1500.0})
-        after = apply_game(state, game(2023, "2023-09-02", "A", "B", 7, 3), CFG)
-        assert after.ratings["C"] == 1500.0
-
-    def test_state_is_a_value_not_mutated(self):
-        state = RatingState(ratings={"A": 1500.0, "B": 1500.0})
-        apply_game(state, game(2023, "2023-09-02", "A", "B", 7, 3), CFG)
-        assert state.ratings == {"A": 1500.0, "B": 1500.0}
-        assert state.games_applied == 0
-
-    def test_out_of_order_date_raises(self):
-        state = RatingState(last_date=dt.date(2023, 10, 1))
-        with pytest.raises(OutOfOrderError):
-            apply_game(state, game(2023, "2023-09-02", "A", "B", 7, 3), CFG)
-
-    def test_overflow_raises_naming_the_game(self):
-        cfg = EloConfig(initial_rating=1.7e308, k_factor=1e308)
-        with pytest.raises(RatingOverflowError, match=r"after game 0 on 2023-09-02: 'A' is at inf"):
-            apply_game(RatingState(), game(2023, "2023-09-02", "A", "B", 21, 7), cfg)
 
 
 class TestReplay:

@@ -1,4 +1,5 @@
-"""Every library name the README's "Library use" section gives exists."""
+"""Every library name the README's "Library use" section gives, and every name
+in `cfbelo.__all__`, exists."""
 
 import importlib
 import re
@@ -35,3 +36,9 @@ def test_every_library_name_in_the_readme_resolves():
     names = library_use_names()
     assert {"cfbelo.snapshot_at", "cfbelo.elo.kernel"} <= names  # both spellings are read
     assert unresolved(names) == []
+
+
+def test_every_exported_name_resolves():
+    # `from cfbelo import *` fails on any name in __all__ that is not there.
+    cfbelo = importlib.import_module("cfbelo")
+    assert unresolved(f"cfbelo.{n}" for n in cfbelo.__all__) == []
