@@ -62,6 +62,38 @@ class TestGame:
             game(2023, "2023-09-02", "A", "B", -1, 7)
 
 
+class TestOneGameReplay:
+    def test_upset_free_update_splits_k(self):
+        state = replay([game(2023, "2023-09-02", "B", "A", 10, 3)], CFG)
+        assert state.ratings == {"A": 1487.5, "B": 1512.5}
+        assert state.games_applied == 1
+        assert state.last_date == dt.date(2023, 9, 2)
+
+    def test_unseen_teams_enter_at_the_configured_initial(self):
+        state = replay([game(2023, "2023-09-02", "A", "B", 7, 3)], EloConfig(initial_rating=1000.0))
+        assert state.ratings == {"A": 1012.5, "B": 987.5}
+
+    def test_only_participants_change(self):
+        games = [game(2023, "2023-09-02", "A", "B", 7, 3), game(2023, "2023-09-09", "C", "D", 7, 3)]
+        cut = dt.date(2023, 9, 5)
+        state, boards, _ = replay_arms(games, (CFG,), cuts=[cut])[0]
+        assert boards[cut] == {"A": 1512.5, "B": 1487.5}
+        assert state.ratings == {"A": 1512.5, "B": 1487.5, "C": 1512.5, "D": 1487.5}
+
+    def test_returned_state_and_boards_share_nothing(self):
+        games = [game(2023, "2023-09-02", "A", "B", 7, 3)]
+        cut = dt.date(2023, 9, 3)
+        state, boards, _ = replay_arms(games, (CFG,), cuts=[cut])[0]
+        boards[cut]["A"] = 0.0
+        assert state.ratings == {"A": 1512.5, "B": 1487.5}
+        assert replay(games, CFG).ratings is not replay(games, CFG).ratings
+
+    def test_overflow_in_the_last_game_names_it(self):
+        cfg = EloConfig(initial_rating=1.7e308, k_factor=1e308)
+        with pytest.raises(RatingOverflowError, match=r"after game 0 on 2023-09-02: 'A' is at inf"):
+            replay([game(2023, "2023-09-02", "A", "B", 21, 7)], cfg)
+
+
 class TestReplay:
     def test_empty_stream_is_identity(self):
         state = replay([], CFG, CarryoverPolicy())
