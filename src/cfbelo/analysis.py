@@ -16,10 +16,10 @@ from .evaluation import EvalSummary, kendall_tau
 from .ingest import SelectionRecord
 
 FORMATS = ("table", "csv", "json")
-# Records per piece of `json_records`. Encoding a piece takes about nine
-# times its text (3.5 MB at 2,048 records on CPython 3.11), whatever the
+# Records per piece of `json_records`. Encoding a piece takes about ten
+# times its text (0.5 MB at 256 records on CPython 3.11), whatever the
 # length of the whole list.
-JSON_CHUNK = 2048
+JSON_CHUNK = 256
 
 
 class SeasonMismatchError(ValueError):

@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
+from operator import attrgetter
 from typing import BinaryIO, Iterator
 
 from .engine import Game
@@ -203,8 +204,9 @@ def parse_games(
 
     Every invalid row lands in the reject report with its line number and a
     machine-readable reason code. A duplicate is a second game between the
-    same pair (in either orientation) on the same date. A row with a cell past
-    the csv module's field limit is rejected without its raw text.
+    same pair (in either orientation) on the same date. While the accepted games come in date
+    order, the duplicate check holds only the latest date's pairs and the games are not re-sorted.
+    A row with a cell past the csv module's field limit is rejected without its raw text.
     """
     result = ParsedGames()
     reader = csv.reader(lines := _csv_lines(source))
@@ -221,7 +223,9 @@ def parse_games(
         deque(lines, 0)  # decode the rest: a file that is not UTF-8 fails whatever its header
         return result
     validator = _RowValidator(aliases, result.warnings)
-    seen_pairs: set[tuple[dt.date, str, str]] = set()
+    # The latest date's pairs while accepted games are in date order, then every game's.
+    pairs: set[tuple[dt.date, str, str]] = set()
+    last, in_order = dt.date.min, True
     while True:
         # A cell past the field limit ends the `for` with csv.Error; the
         # reader goes on from the next line, so the loop is entered again.
@@ -233,19 +237,30 @@ def parse_games(
                     if any(map(str.strip, row)):
                         result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
                     continue
-                a, b = game.team_a, game.team_b
-                key = (game.date, a, b) if a < b else (game.date, b, a)
-                if not allow_duplicates and key in seen_pairs:
-                    result.rejected.append(RejectedRow(reader.line_num, REASON_DUPLICATE, ",".join(row)))
-                    continue
-                seen_pairs.add(key)
+                if in_order and game.date != last:
+                    if in_order := game.date > last:
+                        last = game.date
+                        pairs.clear()  # no later in-order row can repeat an earlier date
+                    elif not allow_duplicates:
+                        pairs.update(map(_pair, result.games))
+                if not allow_duplicates:
+                    if (key := _pair(game)) in pairs:
+                        result.rejected.append(RejectedRow(reader.line_num, REASON_DUPLICATE, ",".join(row)))
+                        continue
+                    pairs.add(key)
                 result.games.append(game)
             break
         except csv.Error:
             result.rejected.append(RejectedRow(reader.line_num, REASON_FIELD_TOO_LARGE, ""))
 
-    result.games.sort(key=lambda g: g.date)  # stable: same-day keeps file order
+    if not in_order:
+        result.games.sort(key=attrgetter("date"))  # stable: same-day keeps file order
     return result
+
+
+def _pair(game: Game) -> tuple[dt.date, str, str]:
+    a, b = game.team_a, game.team_b
+    return (game.date, a, b) if a < b else (game.date, b, a)
 
 
 # Slot setters of Game, in field order, for rows the validator has checked in

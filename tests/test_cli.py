@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbelo import analysis, cli, datasets, engine, ingest
+from cfbelo import cli, datasets, engine, ingest
 from cfbelo.analysis import JSON_CHUNK, reference_agreement, render_agreement
 from cfbelo.cli import main
 from cfbelo.engine import Game, snapshot_at
@@ -393,15 +393,13 @@ class TestIngest:
         assert again == ""
         assert target.read_bytes() == out.encode("utf-8")
 
-    def test_json_output_memory_does_not_grow_with_the_document(self, monkeypatch, tmp_path):
+    def test_json_output_memory_does_not_grow_with_the_document(self, tmp_path):
         # Encoding a chunk takes several times that chunk's text on CPython
-        # 3.11, so the bound is a real one only over many chunks; a smaller
-        # chunk keeps forty of them quick under tracemalloc. Rendering the
-        # whole document at once took about ten times the document.
-        monkeypatch.setattr(analysis, "JSON_CHUNK", 256)
+        # 3.11, so the bound is a real one only over many chunks. Rendering
+        # the whole document at once took about ten times the document.
         games = [
             Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
-            for i in range(40 * 256)
+            for i in range(40 * JSON_CHUNK)
         ]
         target = tmp_path / "games.json"
         tracemalloc.start()
