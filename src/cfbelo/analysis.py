@@ -9,7 +9,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .engine import Snapshot, SnapshotEntry
 from .evaluation import EvalSummary, kendall_tau
@@ -360,23 +360,27 @@ def emit(view: "str | list | dict", fmt: str) -> str:
     return json.dumps(view, indent=2) + "\n"
 
 
-def json_records(records: Iterable[dict]) -> Iterator[str]:
-    """`json.dumps(list(records), indent=2) + "\n"` for flat, non-empty
-    records, in pieces of JSON_CHUNK records, each taken from `records` only
-    when its piece is encoded.
+def _encode_dicts(chunk: list[dict]) -> str:
+    body = json.dumps(chunk, separators=(",\n    ", ": "))[2:-2]
+    return "{\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }"
 
-    CPython's C encoder runs only without `indent`. So each chunk is encoded
-    once with newline separators, then each record boundary is re-indented:
-    an encoded string never holds a raw newline, so the boundary cannot occur
-    in a value. Empty records and nested values are outside this path; [{}]
-    and [{"a": [1, 2]}] would not match json.dumps(..., indent=2).
+
+def json_records(records: Iterable, encode: Callable[[list], str] = _encode_dicts) -> Iterator[str]:
+    """`json.dumps(list(records), indent=2) + "\n"` for flat, non-empty records, in pieces of
+    JSON_CHUNK records, each taken from `records` only when its piece is encoded. `encode` writes
+    a chunk's records at the list's indent, joined by ",\n  ": dicts by default, or with
+    `",\n  ".join` records already so written.
+
+    For dicts, CPython's C encoder runs only without `indent`. So each chunk is encoded once with
+    newline separators, then each record boundary is re-indented: an encoded string never holds a
+    raw newline, so the boundary cannot occur in a value. Empty records and nested values are
+    outside this path; [{}] and [{"a": [1, 2]}] would not match json.dumps(..., indent=2).
     """
     records = iter(records)
-    lead = "[\n  {\n    "
+    lead = "[\n  "
     while chunk := list(islice(records, JSON_CHUNK)):
-        body = json.dumps(chunk, separators=(",\n    ", ": "))[2:-2]
-        yield lead + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }"
-        lead = ",\n  {\n    "
+        yield lead + encode(chunk)
+        lead = ",\n  "
     yield "[]\n" if lead[0] == "[" else "\n]\n"  # "[]" when no record came
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import json
 import os
 import sys
 from collections import Counter
@@ -34,6 +35,7 @@ from .engine import (
 from .ingest import (
     ParsedGames,
     SelectionRecord,
+    _Memo,
     games_to_csv,
     load_aliases,
     parse_games,
@@ -311,6 +313,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _render_games(games: list[Game], fmt: str) -> str | Iterable[str]:
+    """The games as `ingest --format fmt` writes them. Each distinct value is encoded once: a JSON record
+    fills one template with its date's memoized head and its names as json.dumps writes them (at most 1,024)."""
     if fmt == "csv":  # the canonical file form, which derives `week`
         return games_to_csv(games)
     if fmt == "table":
@@ -320,12 +324,15 @@ def _render_games(games: list[Game], fmt: str) -> str | Iterable[str]:
             for g in games
         ]
         return analysis.format_table(["Season", "Date", "Home", "Away", "Score", "Site"], rows)
-    return analysis.json_records(
-        {"season": g.season, "date": g.date.isoformat(), "home_team": g.team_a,
-         "away_team": g.team_b, "home_points": g.score_a, "away_points": g.score_b,
-         "neutral_site": g.neutral_site}
+    heads = _Memo(lambda key: f'{{\n    "season": {key[0]},\n    "date": "{key[1].isoformat()}",\n    "home_team": ')
+    names = _Memo(json.dumps, 1024)
+    records = (
+        f'{heads[g.season, g.date]}{names[g.team_a]},\n    "away_team": {names[g.team_b]},\n'
+        f'    "home_points": {g.score_a},\n    "away_points": {g.score_b},\n'
+        f'    "neutral_site": {"true" if g.neutral_site else "false"}\n  }}'
         for g in games
     )
+    return analysis.json_records(records, ",\n  ".join)
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:

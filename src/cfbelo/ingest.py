@@ -16,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from operator import attrgetter
-from typing import BinaryIO, Iterator
+from types import SimpleNamespace
+from typing import BinaryIO, Callable, Iterator
 
 from .engine import Game
 
@@ -48,7 +49,7 @@ REASON_DATE_OUT_OF_SEASON = "date_out_of_season"
 REASON_FIELD_TOO_LARGE = "field_too_large"
 
 # Rows of `ingest --format csv` written per piece.
-CSV_CHUNK = 2048
+CSV_CHUNK = 256
 
 
 class SelectionsError(ValueError):
@@ -194,6 +195,28 @@ def _csv_lines(source: str | BinaryIO) -> Iterator[str]:
     return chain((first,) if first else (), lines, iter(lines.detach, data))
 
 
+class _Memo(dict):
+    """A dict that works out and keeps a missing key's value; given a `size`, it empties when full."""
+
+    def __init__(self, make: Callable, size: int | None = None):
+        super().__init__()
+        self.make, self.size = make, size
+
+    def __missing__(self, key):
+        if len(self) == self.size:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+def _team(cell: str, directory: _ResolvedDirectory) -> tuple[str | None, tuple[str, ...]]:
+    """The canonical name of a team cell (None if it is blank) and the warnings normalize_team records for it."""
+    if not cell.strip():
+        return None, ()
+    recorded: list[str] = []
+    return normalize_team(cell, directory, recorded), tuple(recorded)
+
+
 def parse_games(
     source: str | BinaryIO,
     aliases: dict[str, str] | None = None,
@@ -207,6 +230,9 @@ def parse_games(
     same pair (in either orientation) on the same date. While the accepted games come in date
     order, the duplicate check holds only the latest date's pairs and the games are not re-sorted.
     A row with a cell past the csv module's field limit is rejected without its raw text.
+
+    Each distinct cell is worked out once per parse, in one memo per cell kind keyed on the raw
+    cell (integers, dates, flags, team names), and each season's window once, in a memo by season.
     """
     result = ParsedGames()
     reader = csv.reader(lines := _csv_lines(source))
@@ -222,7 +248,11 @@ def parse_games(
     if result.rejected:
         deque(lines, 0)  # decode the rest: a file that is not UTF-8 fails whatever its header
         return result
-    validator = _RowValidator(aliases, result.warnings)
+    games, rejected, warnings = result.games, result.rejected, result.warnings
+    directory = _ResolvedDirectory.of(aliases)
+    ints, dates, flags, windows = _Memo(_schema_int), _Memo(_schema_date), _Memo(_flag), _Memo(_season_window)
+    names = _Memo(lambda cell: _team(cell, directory))
+    set_season, set_date, set_team_a, set_team_b, set_score_a, set_score_b, set_neutral = _GAME_SLOTS
     # The latest date's pairs while accepted games are in date order, then every game's.
     pairs: set[tuple[dt.date, str, str]] = set()
     last, in_order = dt.date.min, True
@@ -231,109 +261,72 @@ def parse_games(
         # reader goes on from the next line, so the loop is entered again.
         try:
             for row in reader:
-                game = validator.validate(row)
-                if isinstance(game, str):
-                    # A blank row of any width fails before anything is recorded: skip it.
-                    if any(map(str.strip, row)):
-                        result.rejected.append(RejectedRow(reader.line_num, game, ",".join(row)))
-                    continue
-                if in_order and game.date != last:
-                    if in_order := game.date > last:
-                        last = game.date
-                        pairs.clear()  # no later in-order row can repeat an earlier date
-                    elif not allow_duplicates:
-                        pairs.update(map(_pair, result.games))
-                if not allow_duplicates:
-                    if (key := _pair(game)) in pairs:
-                        result.rejected.append(RejectedRow(reader.line_num, REASON_DUPLICATE, ",".join(row)))
+                try:
+                    season_s, date_s, week_s, home_s, away_s, hp_s, ap_s, neutral_s = row
+                except ValueError:
+                    reason = REASON_FIELD_COUNT
+                else:
+                    season, date = ints[season_s], dates[date_s]
+                    home_points, away_points = ints[hp_s], ints[ap_s]
+                    (home, home_warned), (away, away_warned) = names[home_s], names[away_s]
+                    if season is None:
+                        reason = REASON_BAD_SEASON
+                    elif date is None:
+                        reason = REASON_BAD_DATE
+                    elif ints[week_s] is None:
+                        reason = REASON_BAD_WEEK
+                    elif home_points is None or away_points is None or home_points < 0 or away_points < 0:
+                        reason = REASON_BAD_POINTS
+                    elif (neutral := flags[neutral_s]) is None:
+                        reason = REASON_BAD_NEUTRAL
+                    elif home is None or away is None:
+                        reason = REASON_EMPTY_TEAM
+                    else:
+                        warnings += home_warned + away_warned  # recorded once both names resolve
+                        if home == away:
+                            reason = REASON_SELF_PLAY
+                        elif home_points == away_points:
+                            reason = REASON_TIE
+                        elif (window := windows[season]) is None:
+                            reason = REASON_BAD_SEASON
+                        else:
+                            reason = None if window[0] <= date <= window[1] else REASON_DATE_OUT_OF_SEASON
+                if reason is None:
+                    if in_order and date != last:
+                        if in_order := date > last:
+                            last = date
+                            pairs.clear()  # no later in-order row can repeat an earlier date
+                        elif not allow_duplicates:
+                            pairs.update((g.date, *sorted((g.team_a, g.team_b))) for g in games)
+                    if (key := (date, home, away) if home < away else (date, away, home)) not in pairs:
+                        if not allow_duplicates:
+                            pairs.add(key)
+                        game = object.__new__(Game)
+                        set_season(game, season)
+                        set_date(game, date)
+                        set_team_a(game, home)
+                        set_team_b(game, away)
+                        set_score_a(game, home_points)
+                        set_score_b(game, away_points)
+                        set_neutral(game, neutral)
+                        games.append(game)
                         continue
-                    pairs.add(key)
-                result.games.append(game)
+                    reason = REASON_DUPLICATE
+                # A blank row of any width fails before anything is recorded: skip it.
+                if any(map(str.strip, row)):
+                    rejected.append(RejectedRow(reader.line_num, reason, ",".join(row)))
             break
         except csv.Error:
-            result.rejected.append(RejectedRow(reader.line_num, REASON_FIELD_TOO_LARGE, ""))
+            rejected.append(RejectedRow(reader.line_num, REASON_FIELD_TOO_LARGE, ""))
 
     if not in_order:
-        result.games.sort(key=attrgetter("date"))  # stable: same-day keeps file order
+        games.sort(key=attrgetter("date"))  # stable: same-day keeps file order
     return result
 
 
-def _pair(game: Game) -> tuple[dt.date, str, str]:
-    a, b = game.team_a, game.team_b
-    return (game.date, a, b) if a < b else (game.date, b, a)
-
-
-# Slot setters of Game, in field order, for rows the validator has checked in
+# Slot setters of Game, in field order, for rows parse_games has checked in
 # full; the public Game(...) would check them again in __post_init__.
 _GAME_SLOTS = tuple(Game.__dict__[f.name].__set__ for f in fields(Game))
-
-
-class _RowValidator:
-    """The game-row validator. Its memos are keyed on the raw cell, so each
-    distinct cell is stripped and worked out once per parse."""
-
-    def __init__(self, aliases: dict[str, str] | None, warnings: list[str]):
-        self._directory = _ResolvedDirectory.of(aliases)
-        self._warnings = warnings
-        # raw cell (a season, for _windows) -> its value, or None if it is not valid
-        self._ints: dict[str, int | None] = {}
-        self._dates: dict[str, dt.date | None] = {}
-        self._flags: dict[str, bool | None] = {}
-        self._names: dict[str, tuple[str, tuple[str, ...]] | None] = {}
-        self._windows: dict[int, tuple[dt.date, dt.date] | None] = {}
-
-    def _name(self, cell: str) -> tuple[str, tuple[str, ...]] | None:
-        """The canonical name and the warnings normalize_team records for it."""
-        if not cell.strip():
-            return None
-        recorded: list[str] = []
-        return normalize_team(cell, self._directory, recorded), tuple(recorded)
-
-    def validate(self, row: list[str]) -> Game | str:
-        """Build a Game from one raw CSV row, or return a rejection reason code."""
-        if len(row) != len(GAMES_HEADER):
-            return REASON_FIELD_COUNT
-        season_s, date_s, week_s, home_s, away_s, hp_s, ap_s, neutral_s = row
-        ints, dates, flags, names, windows = self._ints, self._dates, self._flags, self._names, self._windows
-        season = ints[season_s] if season_s in ints else ints.setdefault(season_s, _schema_int(season_s))
-        if season is None:
-            return REASON_BAD_SEASON
-        date = dates[date_s] if date_s in dates else dates.setdefault(date_s, _schema_date(date_s))
-        if date is None:
-            return REASON_BAD_DATE
-        if (ints[week_s] if week_s in ints else ints.setdefault(week_s, _schema_int(week_s))) is None:
-            return REASON_BAD_WEEK
-        home_points = ints[hp_s] if hp_s in ints else ints.setdefault(hp_s, _schema_int(hp_s))
-        away_points = ints[ap_s] if ap_s in ints else ints.setdefault(ap_s, _schema_int(ap_s))
-        if home_points is None or away_points is None or home_points < 0 or away_points < 0:
-            return REASON_BAD_POINTS
-        neutral = flags[neutral_s] if neutral_s in flags else flags.setdefault(neutral_s, _flag(neutral_s))
-        if neutral is None:
-            return REASON_BAD_NEUTRAL
-        home = names[home_s] if home_s in names else names.setdefault(home_s, self._name(home_s))
-        away = names[away_s] if away_s in names else names.setdefault(away_s, self._name(away_s))
-        if home is None or away is None:
-            return REASON_EMPTY_TEAM
-        self._warnings += home[1] + away[1]
-        if home[0] == away[0]:
-            return REASON_SELF_PLAY
-        if home_points == away_points:
-            return REASON_TIE
-        window = windows[season] if season in windows else windows.setdefault(season, _season_window(season))
-        if window is None:
-            return REASON_BAD_SEASON
-        if not (window[0] <= date <= window[1]):
-            return REASON_DATE_OUT_OF_SEASON
-        game = object.__new__(Game)
-        set_season, set_date, set_team_a, set_team_b, set_score_a, set_score_b, set_neutral = _GAME_SLOTS
-        set_season(game, season)
-        set_date(game, date)
-        set_team_a(game, home[0])
-        set_team_b(game, away[0])
-        set_score_a(game, home_points)
-        set_score_b(game, away_points)
-        set_neutral(game, neutral)
-        return game
 
 
 def games_to_csv(games: list[Game]) -> Iterator[str]:
@@ -343,33 +336,28 @@ def games_to_csv(games: list[Game]) -> Iterator[str]:
     Weeks are not tracked by the engine, so the week column is derived from
     the position of each game's date within its season (7-day buckets from
     the season's first game).
+
+    Each distinct value is encoded once: a row joins its date's memoized "season,date,week,"
+    prefix, each team name as csv.writer quotes it (memoized, at most 1,024 names; one that
+    needs no quotes is kept as itself), the scores and the flag.
     """
     season_starts: dict[int, dt.date] = {}
     for game in games:
         first = season_starts.get(game.season)
         if first is None or game.date < first:
             season_starts[game.season] = game.date
+    prefixes = _Memo(lambda key: f"{key[0]},{key[1].isoformat()},{(key[1] - season_starts[key[0]]).days // 7 + 1},")
+    # writerow returns the line `write` returns; the empty cell keeps a lone "" name unquoted.
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    names = _Memo(lambda cell: cell if (text := line((cell, ""))[:-2]) == cell else text, 1024)
     rows = (
-        [
-            game.season,
-            game.date.isoformat(),
-            (game.date - season_starts[game.season]).days // 7 + 1,
-            game.team_a,
-            game.team_b,
-            game.score_a,
-            game.score_b,
-            "true" if game.neutral_site else "false",
-        ]
-        for game in games
+        f'{prefixes[g.season, g.date]}{names[g.team_a]},{names[g.team_b]},{g.score_a},{g.score_b},'
+        f'{"true" if g.neutral_site else "false"}\n'
+        for g in games
     )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(GAMES_HEADER)
-    while piece := out.getvalue():
+    yield line(GAMES_HEADER)
+    while piece := "".join(islice(rows, CSV_CHUNK)):
         yield piece
-        out.seek(0)
-        out.truncate()
-        writer.writerows(islice(rows, CSV_CHUNK))
 
 
 _REPORT_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})

@@ -1,9 +1,10 @@
-"""Independent naive oracle for the games-file row path.
+"""Independent naive oracles for the games-file row path and the games renders.
 
 A plain per-row validator: no memos, the public `Game(...)` constructor, and
 one check after another in the order the README gives for reason codes. It
 borrows only `normalize_team` (whose own tests pin it) and the reason-code
-names from the package under test.
+names from the package under test. The renders write every row through one
+csv.writer, and every record through one json.dumps.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import json
 import re
 
 from cfbelo.engine import Game
@@ -98,3 +100,29 @@ def naive_parse_games(text: str, aliases=None, allow_duplicates: bool = False):
                 continue
         rejected.append((reader.line_num, outcome, ",".join(row)))
     return sorted(games, key=lambda g: g.date), rejected, warnings
+
+
+def naive_games_to_csv(games: list[Game]) -> str:
+    """`ingest --format csv`: each row's cells through one csv.writer, the week counted
+    in 7-day buckets from its season's first date."""
+    first: dict[int, dt.date] = {}
+    for game in games:
+        first[game.season] = min(first.get(game.season, game.date), game.date)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(GAMES_HEADER)
+    for g in games:
+        week = (g.date - first[g.season]).days // 7 + 1
+        flag = "true" if g.neutral_site else "false"
+        writer.writerow([g.season, g.date.isoformat(), week, g.team_a, g.team_b, g.score_a, g.score_b, flag])
+    return out.getvalue()
+
+
+def naive_games_json(games: list[Game]) -> str:
+    """`ingest --format json`: one json.dumps of every record, indented by 2."""
+    records = [
+        {"season": g.season, "date": g.date.isoformat(), "home_team": g.team_a, "away_team": g.team_b,
+         "home_points": g.score_a, "away_points": g.score_b, "neutral_site": g.neutral_site}
+        for g in games
+    ]
+    return json.dumps(records, indent=2) + "\n"

@@ -410,14 +410,13 @@ class TestIngest:
             tracemalloc.stop()
         assert peak < target.stat().st_size / 3
 
-    def test_csv_output_memory_does_not_grow_with_the_document(self, monkeypatch, tmp_path):
+    def test_csv_output_memory_does_not_grow_with_the_document(self, tmp_path):
         # Writing the whole document in one buffer peaked at about three
         # times the document. The csv writer's first row takes a fixed
         # 128 KiB, so the document is made large enough to dwarf it.
-        monkeypatch.setattr(ingest, "CSV_CHUNK", 256)
         games = [
             Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
-            for i in range(80 * 256)
+            for i in range(80 * ingest.CSV_CHUNK)
         ]
         target = tmp_path / "games.csv"
         tracemalloc.start()

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfbelo import ingest
+from cfbelo import cli, ingest
+from cfbelo.analysis import JSON_CHUNK
 from cfbelo.datasets import bundled_aliases
 from cfbelo.engine import Game, TiedScoreError
 from cfbelo.ingest import (
@@ -37,7 +38,7 @@ from cfbelo.ingest import (
     rejects_to_csv,
 )
 
-from naive_ingest import naive_parse_games
+from naive_ingest import naive_games_json, naive_games_to_csv, naive_parse_games
 
 HEADER = ",".join(GAMES_HEADER)
 
@@ -621,6 +622,58 @@ class TestRoundTrip:
         assert first.games[0].team_a == "Doane, Nebraska"
         second = parse_games("".join(games_to_csv(first.games)))
         assert second.games == first.games
+
+
+# Scores up to the most digits int() and str() convert by default.
+BIG_SCORE = 10**4300 - 1
+
+
+# Game(...) takes any name, the empty one too, which a csv row holds unquoted.
+@st.composite
+def render_games(draw):
+    names = st.sampled_from(ODD_NAMES + ["Ohio State", " lead", "trail ", ""])
+    home, away = draw(st.lists(names, min_size=2, max_size=2, unique=True))
+    points = st.one_of(st.integers(0, 99), st.integers(0, BIG_SCORE))
+    home_points, away_points = draw(st.lists(points, min_size=2, max_size=2, unique=True))
+    season = draw(st.integers(2014, 2016))
+    date = dt.date(season, 8, 1) + dt.timedelta(days=draw(st.integers(0, 183)))
+    return Game(season, date, home, away, home_points, away_points, draw(st.booleans()))
+
+
+def distinct_name_games(count, seed):
+    """`count` games, each with two names no other game has, spelled from ODD_NAMES."""
+    rng = random.Random(seed)
+    games = []
+    for i in range(count):
+        season = rng.choice([2022, 2023])
+        date = dt.date(season, 8, 26) + dt.timedelta(days=rng.randrange(150))
+        points = rng.choice([rng.randrange(60), BIG_SCORE - rng.randrange(10**6)])
+        home, away = f"{rng.choice(ODD_NAMES)} {i}", f"{i} {rng.choice(ODD_NAMES)}"
+        games.append(Game(season, date, home, away, points, points - 1 if points else 1, rng.random() < 0.5))
+    return games
+
+
+class TestRenderAgainstOracle:
+    """`ingest --format csv|json` build each row from memoized pieces; the text
+    must equal one csv.writer or json.dumps over the whole list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(render_games(), max_size=12))
+    def test_renders_equal_the_stdlib_oracle(self, games):
+        assert "".join(games_to_csv(games)) == naive_games_to_csv(games)
+        assert "".join(cli._render_games(games, "json")) == naive_games_json(games)
+
+    @pytest.mark.parametrize(
+        "count", sorted({n for c in (ingest.CSV_CHUNK, JSON_CHUNK) for n in (0, 1, c - 1, c, c + 1)} | {2 * 1024 + 1})
+    )
+    def test_chunk_edges_and_more_names_than_the_memo_holds_equal_the_oracle(self, count):
+        games = distinct_name_games(count, seed=count)
+        pieces = list(games_to_csv(games))
+        assert len(pieces) == 1 + -(-count // ingest.CSV_CHUNK)
+        assert "".join(pieces) == naive_games_to_csv(games)
+        pieces = list(cli._render_games(games, "json"))
+        assert len(pieces) == 1 + -(-count // JSON_CHUNK)
+        assert "".join(pieces) == naive_games_json(games)
 
 
 class TestNormalizeTeam:
