@@ -8,18 +8,13 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .engine import Snapshot, SnapshotEntry
 from .evaluation import EvalSummary, kendall_tau
 from .ingest import SelectionRecord
 
 FORMATS = ("table", "csv", "json")
-# Records per piece of `json_records`. Encoding a piece takes about ten
-# times its text (0.5 MB at 256 records on CPython 3.11), whatever the
-# length of the whole list.
-JSON_CHUNK = 256
 
 
 class SeasonMismatchError(ValueError):
@@ -123,7 +118,7 @@ def _season_from_label(label: str) -> int | None:
 def compare(snapshot: Snapshot, selections: Sequence[SelectionRecord]) -> ComparisonReport:
     """Reconcile one season's snapshot with that season's four committee picks."""
     if not snapshot.entries:
-        raise ValueError("cannot compare against an empty snapshot")
+        raise ValueError(f"cannot compare against an empty snapshot {snapshot.label!r}")
     seasons = {r.season for r in selections}
     if len(selections) != 4 or len(seasons) != 1:
         raise ValueError("expected exactly four selection records from one season")
@@ -348,40 +343,14 @@ def render_agreement(entries: Sequence[AgreementEntry], fmt: str) -> str:
 
 def emit(view: "str | list | dict", fmt: str) -> str:
     """Text of a view built for `fmt`: table text as it is, CSV rows through
-    the one CSV writer, a JSON payload through the one JSON emitter."""
+    the one CSV writer, a JSON payload through json.dumps with indent 2."""
     if fmt == "table":
         return view
     if fmt == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(view)
         return out.getvalue()
-    if isinstance(view, list):
-        return "".join(json_records(view))
     return json.dumps(view, indent=2) + "\n"
-
-
-def _encode_dicts(chunk: list[dict]) -> str:
-    body = json.dumps(chunk, separators=(",\n    ", ": "))[2:-2]
-    return "{\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }"
-
-
-def json_records(records: Iterable, encode: Callable[[list], str] = _encode_dicts) -> Iterator[str]:
-    """`json.dumps(list(records), indent=2) + "\n"` for flat, non-empty records, in pieces of
-    JSON_CHUNK records, each taken from `records` only when its piece is encoded. `encode` writes
-    a chunk's records at the list's indent, joined by ",\n  ": dicts by default, or with
-    `",\n  ".join` records already so written.
-
-    For dicts, CPython's C encoder runs only without `indent`. So each chunk is encoded once with
-    newline separators, then each record boundary is re-indented: an encoded string never holds a
-    raw newline, so the boundary cannot occur in a value. Empty records and nested values are
-    outside this path; [{}] and [{"a": [1, 2]}] would not match json.dumps(..., indent=2).
-    """
-    records = iter(records)
-    lead = "[\n  "
-    while chunk := list(islice(records, JSON_CHUNK)):
-        yield lead + encode(chunk)
-        lead = ",\n  "
-    yield "[]\n" if lead[0] == "[" else "\n]\n"  # "[]" when no record came
 
 
 def _canonical_format(fmt: str) -> str:

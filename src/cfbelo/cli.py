@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import os
 import sys
 from collections import Counter
@@ -35,8 +34,8 @@ from .engine import (
 from .ingest import (
     ParsedGames,
     SelectionRecord,
-    _Memo,
     games_to_csv,
+    games_to_json,
     load_aliases,
     parse_games,
     parse_iso_date,
@@ -313,26 +312,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _render_games(games: list[Game], fmt: str) -> str | Iterable[str]:
-    """The games as `ingest --format fmt` writes them. Each distinct value is encoded once: a JSON record
-    fills one template with its date's memoized head and its names as json.dumps writes them (at most 1,024)."""
+    """The games as `ingest --format fmt` writes them."""
     if fmt == "csv":  # the canonical file form, which derives `week`
         return games_to_csv(games)
-    if fmt == "table":
-        rows = [
-            [str(g.season), g.date.isoformat(), g.team_a, g.team_b, f"{g.score_a}-{g.score_b}",
-             "neutral" if g.neutral_site else ""]
-            for g in games
-        ]
-        return analysis.format_table(["Season", "Date", "Home", "Away", "Score", "Site"], rows)
-    heads = _Memo(lambda key: f'{{\n    "season": {key[0]},\n    "date": "{key[1].isoformat()}",\n    "home_team": ')
-    names = _Memo(json.dumps, 1024)
-    records = (
-        f'{heads[g.season, g.date]}{names[g.team_a]},\n    "away_team": {names[g.team_b]},\n'
-        f'    "home_points": {g.score_a},\n    "away_points": {g.score_b},\n'
-        f'    "neutral_site": {"true" if g.neutral_site else "false"}\n  }}'
+    if fmt == "json":
+        return games_to_json(games)
+    rows = [
+        [str(g.season), g.date.isoformat(), g.team_a, g.team_b, f"{g.score_a}-{g.score_b}",
+         "neutral" if g.neutral_site else ""]
         for g in games
-    )
-    return analysis.json_records(records, ",\n  ".join)
+    ]
+    return analysis.format_table(["Season", "Date", "Home", "Away", "Score", "Site"], rows)
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:

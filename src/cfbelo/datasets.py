@@ -50,8 +50,9 @@ def bundled_selections() -> tuple[SelectionRecord, ...]:
 
 
 def selection_sunday(season: int) -> dt.date:
-    """Nominal selection day: the first Sunday of December after the season's
-    regular schedule, the day the four teams are announced."""
+    """Nominal selection day: the first Sunday of December. The four teams were
+    announced later in 2019 (December 8, against December 1 here) and 2020
+    (December 20, against December 6)."""
     first = dt.date(season, 12, 1)
     return first + dt.timedelta(days=(6 - first.weekday()) % 7)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .engine import Game
 
@@ -48,8 +48,8 @@ REASON_DUPLICATE = "duplicate"
 REASON_DATE_OUT_OF_SEASON = "date_out_of_season"
 REASON_FIELD_TOO_LARGE = "field_too_large"
 
-# Rows of `ingest --format csv` written per piece.
-CSV_CHUNK = 256
+# Rows of `ingest --format csv`, or records of `--format json`, written per piece.
+CHUNK = 256
 
 
 class SelectionsError(ValueError):
@@ -331,7 +331,7 @@ _GAME_SLOTS = tuple(Game.__dict__[f.name].__set__ for f in fields(Game))
 
 def games_to_csv(games: list[Game]) -> Iterator[str]:
     """The games in the canonical CSV schema, in pieces of the header or
-    CSV_CHUNK rows, each written only when it is asked for.
+    CHUNK rows, each written only when it is asked for.
 
     Weeks are not tracked by the engine, so the week column is derived from
     the position of each game's date within its season (7-day buckets from
@@ -356,8 +356,31 @@ def games_to_csv(games: list[Game]) -> Iterator[str]:
         for g in games
     )
     yield line(GAMES_HEADER)
-    while piece := "".join(islice(rows, CSV_CHUNK)):
+    while piece := "".join(islice(rows, CHUNK)):
         yield piece
+
+
+def games_to_json(games: Iterable[Game]) -> Iterator[str]:
+    """`json.dumps(records, indent=2) + "\n"` of the games' records (season, date, home_team,
+    away_team, home_points, away_points, neutral_site; no week), in pieces of CHUNK records,
+    each taken from `games` only when its piece is written.
+
+    Each distinct value is encoded once: a record fills one template with its date's memoized
+    head and its names as json.dumps writes them (memoized, at most 1,024 names).
+    """
+    heads = _Memo(lambda key: f'{{\n    "season": {key[0]},\n    "date": "{key[1].isoformat()}",\n    "home_team": ')
+    names = _Memo(json.dumps, 1024)
+    records = (
+        f'{heads[g.season, g.date]}{names[g.team_a]},\n    "away_team": {names[g.team_b]},\n'
+        f'    "home_points": {g.score_a},\n    "away_points": {g.score_b},\n'
+        f'    "neutral_site": {"true" if g.neutral_site else "false"}\n  }}'
+        for g in games
+    )
+    lead = "[\n  "
+    while chunk := list(islice(records, CHUNK)):
+        yield lead + ",\n  ".join(chunk)
+        lead = ",\n  "
+    yield "[]\n" if lead[0] == "[" else "\n]\n"  # "[]" when no game came
 
 
 _REPORT_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})

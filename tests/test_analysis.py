@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbelo.analysis import (
-    JSON_CHUNK,
     SeasonMismatchError,
     compare,
     compare_all,
     emit,
-    json_records,
     reference_agreement,
     render_comparisons,
     render_report,
@@ -319,17 +317,6 @@ class TestJsonEmitter:
 
     def test_empty_row_list(self):
         assert emit([], "json") == json.dumps([], indent=2) + "\n"
-
-    @pytest.mark.parametrize("n", [0, 1, JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1, 2 * JSON_CHUNK + 1])
-    def test_pieces_join_to_indented_dumps_across_chunk_boundaries(self, n):
-        records = [{"i": i, "team": f'Team "{i}"\n', "neutral": i % 3 == 0, "x": None} for i in range(n)]
-        taken = []
-        pieces = json_records(taken.append(r) or r for r in records)
-        first = next(pieces)
-        assert len(taken) == min(n, JSON_CHUNK)  # records are built only as a piece needs them
-        rest = list(pieces)
-        assert first + "".join(rest) == json.dumps(records, indent=2) + "\n"
-        assert len(rest) == -(-n // JSON_CHUNK)  # one piece per chunk, then the closing bracket
 
     def test_single_season_document_needs_exactly_one_report(self):
         reports, _ = compare_all(bundled_snapshots(), bundled_selections())

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbelo import cli, datasets, engine, ingest
-from cfbelo.analysis import JSON_CHUNK, reference_agreement, render_agreement
+from cfbelo.analysis import reference_agreement, render_agreement
 from cfbelo.cli import main
 from cfbelo.engine import Game, snapshot_at
 from cfbelo.ingest import parse_games
@@ -374,7 +374,7 @@ class TestIngest:
         assert target.read_text(encoding="utf-8").startswith(GAMES_HEADER)
 
     def test_json_on_stdout_and_in_out_file_is_the_same_bytes(self, capsys, tmp_path):
-        n = 2 * JSON_CHUNK + 1
+        n = 2 * ingest.CHUNK + 1
         games = tmp_path / "games.csv"
         games.write_text(
             GAMES_HEADER + "\n" + "".join(
@@ -399,7 +399,7 @@ class TestIngest:
         # the whole document at once took about ten times the document.
         games = [
             Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
-            for i in range(40 * JSON_CHUNK)
+            for i in range(40 * ingest.CHUNK)
         ]
         target = tmp_path / "games.json"
         tracemalloc.start()
@@ -416,7 +416,7 @@ class TestIngest:
         # 128 KiB, so the document is made large enough to dwarf it.
         games = [
             Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
-            for i in range(80 * ingest.CSV_CHUNK)
+            for i in range(80 * ingest.CHUNK)
         ]
         target = tmp_path / "games.csv"
         tracemalloc.start()
@@ -689,6 +689,18 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "--games", missing, "--as-of", "2023-10-01")
         assert code == 1
         assert "--as-of needs --season" in err
+
+    def test_empty_board_error_names_the_board(self, capsys):
+        code, out, err = run(capsys, "compare", "--games", DEMO_GAMES, "--top-n", "0")
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "cfbelo: error: cannot compare against an empty snapshot '2021 board as of 2021-12-05'\n"
+        )
+
+    def test_cut_before_any_game_error_names_the_season_and_cut(self, capsys):
+        code, out, err = run(capsys, "compare", "--games", DEMO_GAMES, "--season", "2023", "--as-of", "2021-01-01")
+        assert (code, out) == (1, "")
+        assert err == "cfbelo: error: cannot compare against an empty snapshot '2023 board as of 2021-01-01'\n"
 
     def test_agreement_report_folds_each_game_once(self, capsys, monkeypatch):
         calls = count_updates(monkeypatch)

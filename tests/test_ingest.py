@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfbelo import cli, ingest
-from cfbelo.analysis import JSON_CHUNK
 from cfbelo.datasets import bundled_aliases
 from cfbelo.engine import Game, TiedScoreError
 from cfbelo.ingest import (
@@ -32,6 +31,7 @@ from cfbelo.ingest import (
     RejectedRow,
     SelectionsError,
     games_to_csv,
+    games_to_json,
     normalize_team,
     parse_games,
     parse_selections,
@@ -603,7 +603,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])
     def test_csv_pieces_join_to_the_whole_document(self, monkeypatch, count):
         # Chunk edges at 0, 1, C-1, C, C+1 and 2C+1 rows with C = 4.
-        monkeypatch.setattr(ingest, "CSV_CHUNK", 4)
+        monkeypatch.setattr(ingest, "CHUNK", 4)
         games = parse_games(
             rows_to_text(*(f"2023,{dt.date(2023, 9, 2) + dt.timedelta(days=3 * i)},1,A{i},B,21,7,false" for i in range(count)))
         ).games
@@ -664,15 +664,28 @@ class TestRenderAgainstOracle:
         assert "".join(cli._render_games(games, "json")) == naive_games_json(games)
 
     @pytest.mark.parametrize(
-        "count", sorted({n for c in (ingest.CSV_CHUNK, JSON_CHUNK) for n in (0, 1, c - 1, c, c + 1)} | {2 * 1024 + 1})
+        "n", [0, 1, ingest.CHUNK - 1, ingest.CHUNK, ingest.CHUNK + 1, 2 * ingest.CHUNK + 1]
+    )
+    def test_json_pieces_join_to_indented_dumps_across_chunk_boundaries(self, n):
+        games = distinct_name_games(n, seed=n)
+        taken = []
+        pieces = games_to_json(taken.append(g) or g for g in games)
+        first = next(pieces)
+        assert len(taken) == min(n, ingest.CHUNK)  # games are taken only as a piece needs them
+        rest = list(pieces)
+        assert first + "".join(rest) == naive_games_json(games)
+        assert len(rest) == -(-n // ingest.CHUNK)  # one piece per chunk, then the closing bracket
+
+    @pytest.mark.parametrize(
+        "count", sorted({0, 1, ingest.CHUNK - 1, ingest.CHUNK, ingest.CHUNK + 1, 2 * 1024 + 1})
     )
     def test_chunk_edges_and_more_names_than_the_memo_holds_equal_the_oracle(self, count):
         games = distinct_name_games(count, seed=count)
         pieces = list(games_to_csv(games))
-        assert len(pieces) == 1 + -(-count // ingest.CSV_CHUNK)
+        assert len(pieces) == 1 + -(-count // ingest.CHUNK)
         assert "".join(pieces) == naive_games_to_csv(games)
         pieces = list(cli._render_games(games, "json"))
-        assert len(pieces) == 1 + -(-count // JSON_CHUNK)
+        assert len(pieces) == 1 + -(-count // ingest.CHUNK)
         assert "".join(pieces) == naive_games_json(games)
 
 
