@@ -6,11 +6,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .engine import Snapshot, SnapshotEntry
+from .engine import Snapshot, SnapshotEntry, label_season
 from .evaluation import EvalSummary, kendall_tau
 from .ingest import SelectionRecord
 
@@ -108,13 +107,6 @@ def _dense_ranks(values: Sequence[float]) -> list[int]:
     return ranks
 
 
-def _season_from_label(label: str) -> int | None:
-    # Only a leading year names the season: "as of 2024-01-05" names none, as a
-    # January cut belongs to the season before.
-    match = re.match(r"[0-9]{4}(?=\s|$)", label)
-    return int(match.group()) if match else None
-
-
 def compare(snapshot: Snapshot, selections: Sequence[SelectionRecord]) -> ComparisonReport:
     """Reconcile one season's snapshot with that season's four committee picks."""
     if not snapshot.entries:
@@ -123,10 +115,10 @@ def compare(snapshot: Snapshot, selections: Sequence[SelectionRecord]) -> Compar
     if len(selections) != 4 or len(seasons) != 1:
         raise ValueError("expected exactly four selection records from one season")
     season = seasons.pop()
-    label_season = _season_from_label(snapshot.label)
-    if label_season is not None and label_season != season:
+    labeled = label_season(snapshot.label)
+    if labeled is not None and labeled != season:
         raise SeasonMismatchError(
-            f"snapshot is labeled {label_season} but selections are for {season}"
+            f"snapshot is labeled {labeled} but selections are for {season}"
         )
 
     committee = tuple(sorted(selections, key=lambda r: r.committee_rank))

@@ -24,6 +24,8 @@ from .engine import (
     Game,
     RatingOverflowError,
     Snapshot,
+    board_label,
+    board_season,
     default_cut_date,
     default_cuts,
     rank_teams,
@@ -292,15 +294,6 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         raise CliError(f"cannot write --out file {Path(out)}: {exc}") from None
 
 
-def _season_of_date(date: dt.date) -> int:
-    # January games belong to the previous calendar year's season.
-    return date.year if date.month >= 6 else date.year - 1
-
-
-def _board_label(season: int, cut: dt.date) -> str:
-    return f"{season} board as of {cut.isoformat()}"
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -345,14 +338,14 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     else:
         with _user_errors():
             as_of = default_cut_date(games, season=args.season)
-    season = args.season if args.season is not None else _season_of_date(as_of)
+    season = args.season if args.season is not None else board_season(as_of)
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
     if args.selections and not selections:
         note = f"{args.selections} holds no selection records for {season}; the CFP column is empty"
         print(f"{PROG}: note: --selections: {note}", file=sys.stderr)
     snapshot = snapshot_at(
         games, as_of, cfg, policy, top_n=args.top_n,
-        label=_board_label(season, as_of), conferences=datasets.bundled_conferences(),
+        label=board_label(season, as_of), conferences=datasets.bundled_conferences(),
     )
     _emit(analysis.render_report(snapshot, args.format, selections=selections or None), args.out)
     return 0
@@ -388,7 +381,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         # Agreement ranks need the full board; the compare table only --top-n.
         depth = None if args.agreement_report else args.top_n
         boards = snapshots_at(
-            games, {_board_label(s, cut): cut for s, cut in cuts.items()},
+            games, {board_label(s, cut): cut for s, cut in cuts.items()},
             cfg, policy, depth, datasets.bundled_conferences(),
         )
         ranked = dict(zip(cuts, boards))

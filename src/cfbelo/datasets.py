@@ -10,11 +10,10 @@ without external downloads.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 from functools import lru_cache
 from importlib.resources import files
 
-from .engine import Snapshot, SnapshotEntry
+from .engine import Snapshot, SnapshotEntry, selection_sunday
 from .ingest import (
     ParsedGames,
     SelectionRecord,
@@ -47,14 +46,6 @@ def bundled_aliases() -> dict[str, str]:
 def bundled_selections() -> tuple[SelectionRecord, ...]:
     """Committee selections 2014-2023: 40 records, 4 per season."""
     return tuple(parse_selections(_read(SELECTIONS_RESOURCE), aliases=bundled_aliases()))
-
-
-def selection_sunday(season: int) -> dt.date:
-    """Nominal selection day: the first Sunday of December. The four teams were
-    announced later in 2019 (December 8, against December 1 here) and 2020
-    (December 20, against December 6)."""
-    first = dt.date(season, 12, 1)
-    return first + dt.timedelta(days=(6 - first.weekday()) % 7)
 
 
 @lru_cache(maxsize=None)
@@ -90,8 +81,8 @@ def bundled_snapshots() -> dict[int, Snapshot]:
 
 def bundled_conferences() -> dict[str, str]:
     """Team -> conference map collected from the bundled boards and
-    selections, preferring the most recent season's label (boards win over
-    selection records because they run a season later)."""
+    selections: within each, the most recent season's label; across them, any
+    board label over any selection label (Cincinnati 2021: AAC, not American)."""
     table: dict[str, str] = {}
     for record in sorted(bundled_selections(), key=lambda r: r.season):
         table[record.team] = record.conference

@@ -1,4 +1,4 @@
-"""Season replay: fold games through the Elo update, snapshot at cut dates.
+"""Season replay and calendar: fold games through the Elo update, snapshot at cut dates.
 
 Replay is order-sensitive and therefore sequential. Every replay in the
 package is one pass of `replay_arms`, which advances one ratings dict per
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import re
 from array import array
 from operator import attrgetter
 from dataclasses import dataclass
@@ -139,7 +140,7 @@ class Snapshot:
         return None
 
     def top(self, n: int) -> tuple[SnapshotEntry, ...]:
-        return self.entries[:n]
+        return self.entries[: max(n, 0)]
 
 
 def ordered(games: Iterable[Game]) -> list[Game]:
@@ -308,3 +309,36 @@ def default_cut_date(games: Sequence[Game], season: int | None = None) -> dt.dat
     if season not in cuts:
         raise ValueError(f"no games found for season {season}")
     return cuts[season]
+
+
+# Season calendar: every rule that ties a date to a season, and the board label.
+def season_window(season: int) -> tuple[dt.date, dt.date] | None:
+    # College seasons run August through the following January.
+    try:
+        return dt.date(season, 8, 1), dt.date(season + 1, 1, 31)
+    except (ValueError, OverflowError):  # no calendar date in that year
+        return None
+
+
+def board_season(date: dt.date) -> int:
+    # January games belong to the previous calendar year's season.
+    return date.year if date.month >= 6 else date.year - 1
+
+
+def selection_sunday(season: int) -> dt.date:
+    """Nominal selection day: the first Sunday of December. The four teams were
+    announced later in 2019 (December 8, against December 1 here) and 2020
+    (December 20, against December 6)."""
+    first = dt.date(season, 12, 1)
+    return first + dt.timedelta(days=(6 - first.weekday()) % 7)
+
+
+def board_label(season: int, cut: dt.date) -> str:
+    return f"{season} board as of {cut.isoformat()}"
+
+
+def label_season(label: str) -> int | None:
+    # Only a leading year names the season: "as of 2024-01-05" names none, as a
+    # January cut belongs to the season before.
+    match = re.match(r"[0-9]{4}(?=\s|$)", label)
+    return int(match.group()) if match else None

@@ -19,7 +19,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .engine import Game
+from .engine import Game, season_window
 
 GAMES_HEADER = [
     "season",
@@ -152,14 +152,6 @@ def parse_iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _season_window(season: int) -> tuple[dt.date, dt.date] | None:
-    # College seasons run August through the following January.
-    try:
-        return dt.date(season, 8, 1), dt.date(season + 1, 1, 31)
-    except (ValueError, OverflowError):  # no calendar date in that year
-        return None
-
-
 def _schema_int(cell: str) -> int | None:
     text = cell.strip()
     # The schema's integers are ASCII digits with an optional sign; int()
@@ -250,7 +242,7 @@ def parse_games(
         return result
     games, rejected, warnings = result.games, result.rejected, result.warnings
     directory = _ResolvedDirectory.of(aliases)
-    ints, dates, flags, windows = _Memo(_schema_int), _Memo(_schema_date), _Memo(_flag), _Memo(_season_window)
+    ints, dates, flags, windows = _Memo(_schema_int), _Memo(_schema_date), _Memo(_flag), _Memo(season_window)
     names = _Memo(lambda cell: _team(cell, directory))
     set_season, set_date, set_team_a, set_team_b, set_score_a, set_score_b, set_neutral = _GAME_SLOTS
     # The latest date's pairs while accepted games are in date order, then every game's.

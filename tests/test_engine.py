@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfbelo import datasets
 from cfbelo.elo import EloConfig
 from cfbelo.engine import (
     CarryoverPolicy,
@@ -15,12 +16,15 @@ from cfbelo.engine import (
     OutOfOrderError,
     RatingOverflowError,
     TiedScoreError,
+    board_label,
     default_cut_date,
     default_cuts,
+    label_season,
     ordered,
     rank_teams,
     replay,
     replay_arms,
+    selection_sunday,
     snapshot_at,
     snapshots_at,
 )
@@ -249,6 +253,29 @@ class TestSnapshotAt:
         snap = snapshot_at(games, dt.date(2024, 1, 1), CFG, conferences={"A": "Big Ten"})
         assert snap.entries[0].conference == "Big Ten"
         assert snap.entries[1].conference == "Unknown"
+
+    @pytest.mark.parametrize("n", [-1, -12])
+    def test_top_keeps_no_entries_for_a_negative_n_as_rank_teams_does(self, n):
+        board = datasets.bundled_snapshots()[2023]
+        assert len(board.entries) == 13
+        assert board.top(n) == () == rank_teams({e.team: e.rating for e in board.entries}, top_n=n)
+
+
+class TestBoardLabel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1000, 9999), st.dates())
+    def test_label_season_reads_back_the_season_of_every_board_label(self, season, cut):
+        assert label_season(board_label(season, cut)) == season
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dates(), st.integers(0, 10**6))
+    def test_other_labels_name_no_season(self, cut, games_applied):
+        assert label_season(snapshot_at([], cut).label) is None  # "as of D"
+        assert label_season(f"final ratings after {games_applied} games") is None
+        assert label_season(board_label(20231, cut)) is None
+
+    def test_datasets_selection_sunday_is_the_engine_rule(self):
+        assert datasets.selection_sunday is selection_sunday
 
 
 class TestCarryoverPolicy:

@@ -1,5 +1,5 @@
-"""Every library name the README's "Library use" section gives, and every name
-in `cfbelo.__all__`, exists."""
+"""Every library name the README gives, dotted (`cfbelo.engine.default_cuts`)
+or imported in its code, and every name in `cfbelo.__all__`, exists."""
 
 import importlib
 import re
@@ -8,13 +8,12 @@ from pathlib import Path
 README = Path(__file__).parent.parent / "README.md"
 
 
-def library_use_names():
+def readme_names():
     """The dotted `cfbelo.…` names and the names the code imports from cfbelo,
-    in the README's "Library use" section."""
+    anywhere in the README."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    names = set(re.findall(r"\bcfbelo(?:\.\w+)+", section))
-    for module, imported in re.findall(r"^from (cfbelo[\w.]*) import (.+)$", section, re.M):
+    names = set(re.findall(r"\bcfbelo(?:\.\w+)+", text))
+    for module, imported in re.findall(r"^from (cfbelo[\w.]*) import (.+)$", text, re.M):
         names.update(f"{module}.{name.strip()}" for name in imported.split(","))
     return names
 
@@ -33,8 +32,9 @@ def unresolved(names):
 
 
 def test_every_library_name_in_the_readme_resolves():
-    names = library_use_names()
+    names = readme_names()
     assert {"cfbelo.snapshot_at", "cfbelo.elo.kernel"} <= names  # both spellings are read
+    assert {"cfbelo.engine.default_cuts", "cfbelo.engine.selection_sunday"} <= names  # from "Cut dates"
     assert unresolved(names) == []
 
 
