@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 from .engine import Snapshot, SnapshotEntry, label_season
 from .evaluation import EvalSummary, kendall_tau
-from .ingest import SelectionRecord
+from .ingest import SelectionRecord, format_table
 
 FORMATS = ("table", "csv", "json")
 
@@ -267,7 +267,7 @@ def reference_agreement(
 
 
 def render_report(
-    report: "Snapshot | ComparisonReport | SelectionStats | EvalSummary",
+    report: "Snapshot | SelectionStats | EvalSummary",
     fmt: str,
     selections: Sequence[SelectionRecord] | None = None,
 ) -> str:
@@ -282,8 +282,6 @@ def render_report(
     if isinstance(report, Snapshot):
         cfp = {r.team: r.committee_rank for r in selections or ()}
         return emit(_snapshot_view(report, cfp, fmt), fmt)
-    if isinstance(report, ComparisonReport):
-        return emit(_comparisons_view([report], None, None, fmt), fmt)
     if isinstance(report, SelectionStats):
         return emit(_stats_view(report, fmt), fmt)
     if isinstance(report, EvalSummary):
@@ -349,15 +347,6 @@ def _canonical_format(fmt: str) -> str:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (choose from table, csv, json)")
     return fmt
-
-
-def format_table(header: list[str], rows: list[list[str]]) -> str:
-    """Fixed-width plain table with a header separator line."""
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    lines = [header, ["-" * w for w in widths], *rows]
-    return "".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n" for line in lines
-    )
 
 
 def _rows_view(header: list[str], rows: list[list], fmt: str) -> list:

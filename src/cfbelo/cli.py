@@ -38,6 +38,7 @@ from .ingest import (
     SelectionRecord,
     games_to_csv,
     games_to_json,
+    games_to_table,
     load_aliases,
     parse_games,
     parse_iso_date,
@@ -304,18 +305,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_games(games: list[Game], fmt: str) -> str | Iterable[str]:
-    """The games as `ingest --format fmt` writes them."""
-    if fmt == "csv":  # the canonical file form, which derives `week`
-        return games_to_csv(games)
-    if fmt == "json":
-        return games_to_json(games)
-    rows = [
-        [str(g.season), g.date.isoformat(), g.team_a, g.team_b, f"{g.score_a}-{g.score_b}",
-         "neutral" if g.neutral_site else ""]
-        for g in games
-    ]
-    return analysis.format_table(["Season", "Date", "Home", "Away", "Score", "Site"], rows)
+def _render_games(games: list[Game], fmt: str) -> Iterator[str]:
+    """The games as `ingest --format fmt` writes them; csv is the canonical file form, which derives `week`."""
+    return {"csv": games_to_csv, "json": games_to_json, "table": games_to_table}[fmt](games)
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:

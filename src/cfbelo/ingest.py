@@ -48,7 +48,7 @@ REASON_DUPLICATE = "duplicate"
 REASON_DATE_OUT_OF_SEASON = "date_out_of_season"
 REASON_FIELD_TOO_LARGE = "field_too_large"
 
-# Rows of `ingest --format csv`, or records of `--format json`, written per piece.
+# Rows of `ingest --format csv|table`, or records of `--format json`, written per piece.
 CHUNK = 256
 
 
@@ -373,6 +373,29 @@ def games_to_json(games: Iterable[Game]) -> Iterator[str]:
         yield lead + ",\n  ".join(chunk)
         lead = ",\n  "
     yield "[]\n" if lead[0] == "[" else "\n]\n"  # "[]" when no game came
+
+
+def games_to_table(games: list[Game]) -> Iterator[str]:
+    """`format_table` of the games, sized by one pass per column, in pieces: header and rule, then CHUNK rows."""
+    header = ["Season", "Date", "Home", "Away", "Score", "Site"]
+    cells = (lambda g: str(g.season), lambda g: g.date.isoformat(), attrgetter("team_a"), attrgetter("team_b"),
+             lambda g: f"{g.score_a}-{g.score_b}", lambda g: "neutral" if g.neutral_site else "")
+    widths = [max(map(len, chain((name,), map(cell, games)))) for name, cell in zip(header, cells)]
+    lines = _table_lines(header, zip(*(map(cell, games) for cell in cells)), widths)
+    yield "".join(islice(lines, 2))
+    while piece := "".join(islice(lines, CHUNK)):
+        yield piece
+
+
+def format_table(header: list[str], rows: list[list[str]]) -> str:
+    """Fixed-width plain table with a header separator line."""
+    return "".join(_table_lines(header, rows, [max(map(len, column)) for column in zip(header, *rows)]))
+
+
+def _table_lines(header: list[str], rows: Iterable[Iterable[str]], widths: list[int]) -> Iterator[str]:
+    """The header, a dash rule, then the rows: cells left-justified, two spaces apart, right-trimmed."""
+    lines = chain((header, ["-" * w for w in widths]), rows)
+    return ("  ".join(map(str.ljust, cells, widths)).rstrip() + "\n" for cells in lines)
 
 
 _REPORT_ESCAPES = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})

@@ -4,7 +4,8 @@ A plain per-row validator: no memos, the public `Game(...)` constructor, and
 one check after another in the order the README gives for reason codes. It
 borrows only `normalize_team` (whose own tests pin it) and the reason-code
 names from the package under test. The renders write every row through one
-csv.writer, and every record through one json.dumps.
+csv.writer, every record through one json.dumps, and the table from widths
+taken over the whole list.
 """
 
 from __future__ import annotations
@@ -126,3 +127,17 @@ def naive_games_json(games: list[Game]) -> str:
         for g in games
     ]
     return json.dumps(records, indent=2) + "\n"
+
+
+def naive_games_table(games: list[Game]) -> str:
+    """`ingest --format table`: each column as wide as its widest cell over the whole list,
+    every cell ljust to it, two spaces apart, each line rstripped, a dash rule under the header."""
+    header = ["Season", "Date", "Home", "Away", "Score", "Site"]
+    rows = [
+        [str(g.season), g.date.isoformat(), g.team_a, g.team_b, f"{g.score_a}-{g.score_b}",
+         "neutral" if g.neutral_site else ""]
+        for g in games
+    ]
+    widths = [max(len(row[i]) for row in [header, *rows]) for i in range(len(header))]
+    lines = [header, ["-" * w for w in widths], *rows]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n" for line in lines)

@@ -208,6 +208,11 @@ class TestSpearman:
         # displaced ranks 1,4,2,3 against 1,2,3,4: d^2 sums to 6
         assert spearman_rho([1, 2, 3, 4], [1, 4, 2, 3]) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("xs,ys", [([1, 2, 3], [1, 2]), ([1], [1])], ids=["unequal", "one-element"])
+    def test_needs_two_sequences_of_equal_length_at_least_two(self, xs, ys):
+        with pytest.raises(ValueError, match="need two sequences of equal length >= 2"):
+            spearman_rho(xs, ys)
+
 
 class TestRenderReport:
     def test_snapshot_table_mirrors_published_layout(self):
@@ -241,12 +246,14 @@ class TestRenderReport:
 
     def test_comparison_render_all_formats(self):
         report = compare(bundled_snapshots()[2023], by_season(2023))
-        table = render_report(report, "table")
+        table = render_comparisons([report], None, "table")
         assert "top-4 overlap: 1 of 4" in table
-        csv_text = render_report(report, "csv")
+        csv_text = render_comparisons([report], None, "csv")
         assert csv_text.splitlines()[1].startswith("2023,1,Michigan")
-        payload = json.loads(render_report(report, "json"))
+        payload = json.loads(render_comparisons([report], None, "json"))
         assert payload["max_committee_elo_rank"] == 13
+        with pytest.raises(TypeError, match="ComparisonReport"):  # the compare document has one writer
+            render_report(report, "table")
 
     def test_stats_render_contains_published_rows(self):
         stats = selection_stats(bundled_selections())

@@ -219,6 +219,19 @@ class TestExitCodes:
             code, out, err = run(capsys, command, flag, value, *games)
             assert (code, out, err) == (1, "", f"cfbelo: error: {error}\n"), command
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("compare", "--as-of", "2023-12-03"), "--as-of only applies when replaying boards from --games"),
+            (("compare", "--season", "1999"), "--season: no selection records for 1999"),
+            (("backtest", "--eval-window", "2023..2019"), "--eval-window: first season 2023 is after last 2019"),
+            (("sweep", "--eval-window", "2023..2019"), "--eval-window: first season 2023 is after last 2019"),
+        ],
+        ids=["compare-as-of-without-games", "compare-season-without-picks", "backtest-window", "sweep-window"],
+    )
+    def test_flag_value_error_exits_one_with_exactly_its_message(self, capsys, argv, error):
+        assert run(capsys, *argv) == (1, "", f"cfbelo: error: {error}\n")
+
 
 class TestRatingOverflow:
     """A K or initial rating too large for doubles is bad input, not a bug."""
@@ -427,6 +440,22 @@ class TestIngest:
             tracemalloc.stop()
         assert peak < target.stat().st_size / 3
 
+    def test_table_output_memory_does_not_grow_with_the_document(self, tmp_path):
+        # Building the whole table, its rows and then its text, peaked at
+        # about nine times the document.
+        games = [
+            Game(2023, dt.date(2023, 9, 1) + dt.timedelta(days=i % 100), f"Home {i}", f"Away {i}", 21, 14)
+            for i in range(80 * ingest.CHUNK)
+        ]
+        target = tmp_path / "games.txt"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._render_games(games, "table"), target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size / 3
+
 
 class TestOverLongInput:
     """Inputs past a parser's size limit are bad input (exit 1) or a rejected
@@ -517,6 +546,43 @@ class TestSelectionsAndAliasFiles:
         # The bundled selections end at 2023, and say nothing of a later board.
         code, _, err = run(capsys, "snapshot", "--as-of", "2024-06-01")
         assert (code, err) == (0, "")
+
+    def test_compare_on_bundled_boards_without_the_picks_season_exits_one(self, capsys, tmp_path):
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(SELECTIONS_HEADER + b"".join(b"2030,%d,Team %d,SEC,false\n" % (r, r) for r in range(1, 5)))
+        code, out, err = run(capsys, "compare", "--selections", str(selections))
+        assert (code, out, err) == (1, "", "cfbelo: error: no bundled board covers the requested season(s)\n")
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([b"2023,1,Georgia,SEC"], "line 2: expected 5 fields, got 4"),
+            ([b"2023,1,Georgia,SEC,yes"], "line 2: won_championship must be true/false"),
+            ([b"2023,1,,SEC,false"], "line 2: empty team or conference"),
+            ([b"2023,1,Georgia,,false"], "line 2: empty team or conference"),
+            (
+                [b"2023,1,Georgia,SEC,false", b"2023,2,Texas,Big 12,false", b"2023,3,Georgia,SEC,false",
+                 b"2023,4,Alabama,SEC,false"],
+                "season 2023: duplicate team in selections",
+            ),
+        ],
+        ids=["four-fields", "champion-yes", "empty-team", "empty-conference", "duplicate-team"],
+    )
+    @pytest.mark.parametrize("command", ["stats", "compare"])
+    def test_bad_selections_row_exits_one_naming_it(self, capsys, tmp_path, rows, error, command):
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(SELECTIONS_HEADER + b"".join(row + b"\n" for row in rows))
+        code, out, err = run(capsys, command, "--selections", str(selections))
+        assert (code, out, err) == (1, "", f"cfbelo: error: --selections: {error}\n")
+
+    def test_blank_and_whitespace_only_selections_rows_are_skipped(self, capsys, tmp_path):
+        picks = [b"2023,%d,Team %d,SEC,%s\n" % (r, r, b"true" if r == 1 else b"false") for r in range(1, 5)]
+        clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
+        clean.write_bytes(SELECTIONS_HEADER + b"".join(picks))
+        padded.write_bytes(SELECTIONS_HEADER + b"\n   \n" + picks[0] + b" , ,\t,,\n" + b"".join(picks[1:]) + b",,,,\n")
+        expected = run(capsys, "stats", "--selections", str(clean), "--format", "json")
+        assert expected[0] == 0 and json.loads(expected[1])["per_team"][0]["team"] == "Team 1"
+        assert run(capsys, "stats", "--selections", str(padded), "--format", "json") == expected
 
     @pytest.mark.parametrize("command", ["stats", "compare", "snapshot"])
     def test_a_bad_byte_outranks_a_bad_header(self, capsys, tmp_path, command):

@@ -294,6 +294,10 @@ class TestCarryoverPolicy:
         with pytest.raises(ValueError):
             CarryoverPolicy.parse(text)
 
+    def test_unknown_mode_is_rejected_naming_the_three_modes(self):
+        with pytest.raises(ValueError, match=r"one of \('full', 'reset', 'regress'\), got 'bogus'"):
+            CarryoverPolicy("bogus")
+
 
 class TestDefaultCutDate:
     def test_day_after_last_game_of_latest_season(self):

@@ -299,6 +299,11 @@ class TestKendallTau:
     def test_ties_contribute_nothing(self):
         assert kendall_tau([1, 1, 2], [1, 2, 3]) == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("xs,ys", [([1, 2, 3], [1, 2]), ([1], [1])], ids=["unequal", "one-element"])
+    def test_needs_two_sequences_of_equal_length_at_least_two(self, xs, ys):
+        with pytest.raises(ValueError, match="need two sequences of equal length >= 2"):
+            kendall_tau(xs, ys)
+
 
 class TestStrengthRecovery:
     def test_ratings_recover_true_ordering(self):

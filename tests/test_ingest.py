@@ -32,13 +32,14 @@ from cfbelo.ingest import (
     SelectionsError,
     games_to_csv,
     games_to_json,
+    games_to_table,
     normalize_team,
     parse_games,
     parse_selections,
     rejects_to_csv,
 )
 
-from naive_ingest import naive_games_json, naive_games_to_csv, naive_parse_games
+from naive_ingest import naive_games_json, naive_games_table, naive_games_to_csv, naive_parse_games
 
 HEADER = ",".join(GAMES_HEADER)
 
@@ -654,14 +655,30 @@ def distinct_name_games(count, seed):
 
 
 class TestRenderAgainstOracle:
-    """`ingest --format csv|json` build each row from memoized pieces; the text
-    must equal one csv.writer or json.dumps over the whole list."""
+    """`ingest --format csv|json|table` write the document in pieces; the text
+    must equal one csv.writer or json.dumps over the whole list, or the table
+    with widths taken over the whole list."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(render_games(), max_size=12))
     def test_renders_equal_the_stdlib_oracle(self, games):
         assert "".join(games_to_csv(games)) == naive_games_to_csv(games)
         assert "".join(cli._render_games(games, "json")) == naive_games_json(games)
+        assert "".join(cli._render_games(games, "table")) == naive_games_table(games)
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, ingest.CHUNK - 1, ingest.CHUNK, ingest.CHUNK + 1, 2 * ingest.CHUNK + 1]
+    )
+    def test_table_pieces_equal_the_oracle_across_chunk_boundaries(self, count):
+        games = distinct_name_games(count, seed=count)
+        pieces = list(games_to_table(games))
+        assert "".join(pieces) == naive_games_table(games)
+        assert len(pieces) == 1 + -(-count // ingest.CHUNK)  # the header and its rule, then one per chunk
+        # Names without line breaks, so each line of a piece is one game row.
+        plain = [dataclasses.replace(g, team_a=f"Home {i}", team_b=f"Away {i}") for i, g in enumerate(games)]
+        lines = [piece.count("\n") for piece in games_to_table(plain)]
+        assert lines[0] == 2 and sum(lines[1:]) == count
+        assert all(0 < n <= ingest.CHUNK for n in lines[1:])
 
     @pytest.mark.parametrize(
         "n", [0, 1, ingest.CHUNK - 1, ingest.CHUNK, ingest.CHUNK + 1, 2 * ingest.CHUNK + 1]
