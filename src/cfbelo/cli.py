@@ -26,7 +26,7 @@ from .engine import (
     Snapshot,
     board_label,
     board_season,
-    default_cut_date,
+    _last_games,
     default_cuts,
     rank_teams,
     replay,
@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snapshot", help="ratings board as of a cut date")
     _add_input_opts(p, "games CSV (default: bundled demo schedule)")
     _add_elo_opts(p)
-    p.add_argument("--as-of", metavar="YYYY-MM-DD", help="cut date (default: day after the season's last game)")
+    p.add_argument(
+        "--as-of", metavar="YYYY-MM-DD", help="cut date (default: day after the season's last game, or selection day if earlier)"
+    )
     p.add_argument("--season", type=int, help="season whose default cut date to use")
     p.add_argument("--top-n", type=int, metavar="N", help="board depth (default: all teams)")
     p.add_argument("--selections", metavar="PATH", help="selections CSV used to fill the CFP column")
@@ -259,6 +261,14 @@ def _report_ingest_problems(parsed: ParsedGames) -> None:
         sys.stderr.write(rejects_to_csv(parsed.rejected))
 
 
+def _note_early_cuts(cuts: dict[int, dt.date], last: dict[int, Game], seasons: Iterable[int]) -> None:
+    # A default cut on selection day leaves out the season's later games, such as its bowls.
+    for season in seasons:
+        if last[season].date > cuts[season]:
+            note = f"the {season} default cut is selection day, {cuts[season]}; its last game is on {last[season].date}"
+            print(f"{PROG}: note: {note}", file=sys.stderr)
+
+
 def _load_selections(args: argparse.Namespace, aliases: dict[str, str]) -> list[SelectionRecord]:
     """The records of --selections, at least one, or the bundled ones when the flag is not given."""
     if not args.selections:
@@ -327,10 +337,15 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     games = _load_games(args, aliases, lambda: datasets.sample_games().games)
     if args.as_of:
         as_of = _parse_date(args.as_of, "--as-of")
+        season = args.season if args.season is not None else board_season(as_of)
     else:
-        with _user_errors():
-            as_of = default_cut_date(games, season=args.season)
-    season = args.season if args.season is not None else board_season(as_of)
+        last = _last_games(games)
+        defaults = default_cuts(last.values())
+        season = args.season if args.season is not None else max(defaults)
+        if season not in defaults:
+            raise CliError(f"no games found for season {season}")
+        as_of = defaults[season]
+        _note_early_cuts(defaults, last, [season])
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
     if args.selections and not selections:
         note = f"{args.selections} holds no selection records for {season}; the CFP column is empty"
@@ -361,7 +376,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     if args.games:
         games = _load_games(args, aliases)
-        defaults = default_cuts(games)
+        last = _last_games(games)
+        defaults = default_cuts(last.values())
         wanted = sorted({r.season for r in selections})
         seasons = [s for s in wanted if s in defaults]
         skipped = [str(s) for s in wanted if s not in defaults]
@@ -370,6 +386,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if not seasons:
             raise CliError("the games file covers none of the selection seasons")
         cuts = {s: as_of or defaults[s] for s in seasons}  # --as-of comes with one --season
+        _note_early_cuts(defaults, last, [] if as_of else seasons)
         # Agreement ranks need the full board; the compare table only --top-n.
         depth = None if args.agreement_report else args.top_n
         boards = snapshots_at(

@@ -12,6 +12,7 @@ import datetime as dt
 import math
 import re
 from array import array
+from contextlib import suppress
 from operator import attrgetter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -286,29 +287,25 @@ def snapshots_at(
 
 
 def default_cuts(games: Iterable[Game]) -> dict[int, dt.date]:
-    """The day after each season's last game, keyed by the season field.
-
-    With a games file that ends each season at the conference championships,
-    this is selection day. Files that include postseason games need an
-    explicit cut date instead.
+    """Each season's default cut, keyed by the season field: selection day or
+    the day after the season's last game, whichever comes first. A season
+    with no calendar date is cut the day after its last game.
     """
-    ends: dict[int, dt.date] = {}
+    cuts = {}
+    for season, last in _last_games(games).items():
+        cuts[season] = last.date + dt.timedelta(days=1)
+        with suppress(ValueError, OverflowError):  # no selection day in that year
+            cuts[season] = min(cuts[season], selection_sunday(season))
+    return cuts
+
+
+def _last_games(games: Iterable[Game]) -> dict[int, Game]:
+    # Each season's latest game; `default_cuts` of these is `default_cuts` of all.
+    last: dict[int, Game] = {}
     for game in games:
-        if game.season not in ends or game.date > ends[game.season]:
-            ends[game.season] = game.date
-    return {season: end + dt.timedelta(days=1) for season, end in ends.items()}
-
-
-def default_cut_date(games: Sequence[Game], season: int | None = None) -> dt.date:
-    """The default cut of `season` (the latest season if None)."""
-    cuts = default_cuts(games)
-    if not cuts:
-        raise ValueError("no games to derive a cut date from")
-    if season is None:
-        season = max(cuts)
-    if season not in cuts:
-        raise ValueError(f"no games found for season {season}")
-    return cuts[season]
+        if game.season not in last or game.date > last[game.season].date:
+            last[game.season] = game
+    return last
 
 
 # Season calendar: every rule that ties a date to a season, and the board label.
@@ -326,11 +323,12 @@ def board_season(date: dt.date) -> int:
 
 
 def selection_sunday(season: int) -> dt.date:
-    """Nominal selection day: the first Sunday of December. The four teams were
-    announced later in 2019 (December 8, against December 1 here) and 2020
-    (December 20, against December 6)."""
+    """Selection day: the day after the first Saturday of December, which is
+    conference championship day. 2020's was delayed to December 20."""
+    if season == 2020:
+        return dt.date(2020, 12, 20)
     first = dt.date(season, 12, 1)
-    return first + dt.timedelta(days=(6 - first.weekday()) % 7)
+    return first + dt.timedelta(days=(5 - first.weekday()) % 7 + 1)
 
 
 def board_label(season: int, cut: dt.date) -> str:

@@ -301,8 +301,8 @@ class TestReferenceAgreement:
         assert entries[0].kendall_tau is None
 
 
-# Strings that could confuse the row path's re-indent: newlines, quotes, the
-# record boundary itself, and non-ASCII text.
+# Strings a JSON encoder must escape or keep verbatim: newlines, quotes, text
+# that looks like a record boundary, and non-ASCII text.
 AWKWARD_TEXT = st.one_of(
     st.text(max_size=12),
     st.sampled_from(["\n", '"', "\\", "},\n    {", '"},\n    {"', "é", "日本", " "]),
@@ -319,7 +319,7 @@ SCALARS = st.one_of(
 class TestJsonEmitter:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.dictionaries(AWKWARD_TEXT, SCALARS, min_size=1, max_size=6), max_size=8))
-    def test_row_path_equals_indented_dumps(self, rows):
+    def test_json_emit_equals_indented_dumps(self, rows):
         assert emit(rows, "json") == json.dumps(rows, indent=2) + "\n"
 
     def test_empty_row_list(self):

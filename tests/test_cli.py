@@ -116,6 +116,27 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"cfbelo: error: {what} file {path} is not a regular file\n"
 
+    def test_unreadable_games_file_exits_one_naming_it(self, capsys, monkeypatch, three_games):
+        # The suite may run as root, which chmod cannot lock out: fail the open itself.
+        real_open = Path.open
+
+        def refuse(self, *args, **kwargs):
+            if self == three_games:
+                raise PermissionError(errno.EACCES, "Permission denied")
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refuse)
+        code, out, err = run(capsys, "rate", "--games", str(three_games))
+        assert (code, out) == (1, "")
+        assert err == f"cfbelo: error: cannot read games file {three_games}: [Errno 13] Permission denied\n"
+
+    def test_unexpected_exception_exits_two_as_an_internal_error(self, capsys, monkeypatch):
+        def boom(records):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.analysis, "selection_stats", boom)
+        assert run(capsys, "stats") == (2, "", "cfbelo: internal error: RuntimeError: boom\n")
+
     def test_malformed_date_exits_one_naming_flag(self, capsys):
         code, _, err = run(capsys, "snapshot", "--as-of", "tomorrow")
         assert code == 1
@@ -226,8 +247,12 @@ class TestExitCodes:
             (("compare", "--season", "1999"), "--season: no selection records for 1999"),
             (("backtest", "--eval-window", "2023..2019"), "--eval-window: first season 2023 is after last 2019"),
             (("sweep", "--eval-window", "2023..2019"), "--eval-window: first season 2023 is after last 2019"),
+            (("snapshot", "--season", "1999"), "no games found for season 1999"),
         ],
-        ids=["compare-as-of-without-games", "compare-season-without-picks", "backtest-window", "sweep-window"],
+        ids=[
+            "compare-as-of-without-games", "compare-season-without-picks", "backtest-window", "sweep-window",
+            "snapshot-season-without-games",
+        ],
     )
     def test_flag_value_error_exits_one_with_exactly_its_message(self, capsys, argv, error):
         assert run(capsys, *argv) == (1, "", f"cfbelo: error: {error}\n")
@@ -665,6 +690,51 @@ class TestSnapshot:
         assert {e["team"] for e in with_cfp} == {"Michigan", "Washington", "Texas", "Alabama"}
 
 
+class TestDefaultCut:
+    ROWS = [
+        "2022,2022-12-03,14,Michigan,Ohio State,10,3,false",
+        "2023,2023-11-25,13,Michigan,Ohio State,10,3,false",
+        "2023,2023-11-26,13,Ohio State,Georgia,21,14,false",
+    ]
+    BOWL = "2023,2024-01-01,16,Georgia,Michigan,9,7,false"
+    NOTE = "cfbelo: note: the 2023 default cut is selection day, 2023-12-03; its last game is on 2024-01-01\n"
+
+    def games(self, tmp_path, *rows):
+        path = tmp_path / "games.csv"
+        path.write_text("\n".join([GAMES_HEADER, *self.ROWS, *rows]) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("season, as_of", [(("--season", "2022"), "2022-12-04"), ((), "2023-11-27")])
+    def test_snapshot_cuts_the_season_or_the_latest_the_day_after_its_last_game(self, capsys, tmp_path, season, as_of):
+        code, out, err = run(capsys, "snapshot", "--games", self.games(tmp_path), *season, "--format", "json")
+        assert (code, err, json.loads(out)["as_of"]) == (0, "", as_of)
+
+    @pytest.mark.parametrize("command", [("snapshot",), ("compare", "--season", "2023")])
+    def test_note_names_a_season_cut_on_selection_day_before_its_last_game(self, capsys, tmp_path, command):
+        games = self.games(tmp_path, self.BOWL)
+        default = run(capsys, *command, "--games", games)
+        explicit = run(capsys, *command, "--games", games, "--as-of", "2023-12-03")
+        assert default == (*explicit[:2], self.NOTE)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("snapshot", "--season", "2022"), ("compare", "--season", "2022"),
+            ("snapshot", "--as-of", "2024-01-02"), ("compare", "--season", "2023", "--as-of", "2024-01-02"),
+        ],
+        ids=["snapshot-other-season", "compare-other-season", "snapshot-explicit-cut", "compare-explicit-cut"],
+    )
+    def test_no_note_for_a_season_outside_the_output_or_an_explicit_cut(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, *command, "--games", self.games(tmp_path, self.BOWL))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", [("snapshot",), ("compare",)])
+    def test_no_note_on_the_bundled_demo_whose_cuts_are_selection_days(self, capsys, command):
+        code, _, err = run(capsys, *command, "--games", DEMO_GAMES)
+        assert code == 0
+        assert "default cut" not in err
+
+
 class TestCompare:
     def test_default_uses_bundled_boards(self, capsys):
         code, out, _ = run(capsys, "compare", "--format", "json")
@@ -1051,13 +1121,17 @@ class TestCliProperties:
         st.sampled_from(["full", "reset", "regress:0.5"]),
         st.sampled_from([None, "1", "3"]),
     )
-    def test_rate_board_is_the_snapshot_at_the_latest_default_cut(self, games, k, carryover, top_n):
+    def test_rate_board_is_the_snapshot_after_the_last_game(self, games, k, carryover, top_n):
+        # The default cut stops at selection day, and these files run past it.
+        parsed = parse_games(games.decode("utf-8", errors="replace"), aliases=datasets.bundled_aliases())
+        last = max((g.date for g in parsed.games), default=dt.date(2023, 12, 1))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "games.csv"
             path.write_bytes(games)
             common = ["--games", str(path), f"--k={k}", "--carryover", carryover, "--format", "json"]
             common += ["--top-n", top_n] if top_n else []
-            rate, snapshot = run_quietly(["rate", *common]), run_quietly(["snapshot", *common])
+            as_of = ["--as-of", str(last + dt.timedelta(days=1))]
+            rate, snapshot = run_quietly(["rate", *common]), run_quietly(["snapshot", *common, *as_of])
         assert rate[0] == snapshot[0]
         if rate[0] == 0:
             boards = [[(e["elo_rank"], e["team"], e["rating"]) for e in json.loads(out)["entries"]]

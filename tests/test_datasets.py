@@ -76,12 +76,18 @@ class TestSelectionSunday:
         "season,expected",
         [
             (2014, dt.date(2014, 12, 7)),
+            (2015, dt.date(2015, 12, 6)),
+            (2016, dt.date(2016, 12, 4)),
+            (2017, dt.date(2017, 12, 3)),
+            (2018, dt.date(2018, 12, 2)),
+            (2019, dt.date(2019, 12, 8)),
+            (2020, dt.date(2020, 12, 20)),
             (2021, dt.date(2021, 12, 5)),
             (2022, dt.date(2022, 12, 4)),
             (2023, dt.date(2023, 12, 3)),
         ],
     )
-    def test_first_sunday_of_december(self, season, expected):
+    def test_announced_selection_days(self, season, expected):
         assert selection_sunday(season) == expected
 
 

@@ -16,8 +16,8 @@ from cfbelo.engine import (
     OutOfOrderError,
     RatingOverflowError,
     TiedScoreError,
+    _last_games,
     board_label,
-    default_cut_date,
     default_cuts,
     label_season,
     ordered,
@@ -299,26 +299,30 @@ class TestCarryoverPolicy:
             CarryoverPolicy("bogus")
 
 
-class TestDefaultCutDate:
-    def test_day_after_last_game_of_latest_season(self):
-        games = winner_loser_games([("A", "B"), ("B", "C")], start="2023-11-25")
-        assert default_cut_date(games) == dt.date(2023, 11, 27)
-
-    def test_explicit_season(self):
+class TestDefaultCuts:
+    def test_day_after_each_seasons_last_game(self):
         games = winner_loser_games([("A", "B")], season=2022, start="2022-12-03")
-        games += winner_loser_games([("A", "B")], season=2023, start="2023-12-02")
-        assert default_cut_date(games, season=2022) == dt.date(2022, 12, 4)
+        games += winner_loser_games([("A", "B"), ("B", "C")], start="2023-11-25")
+        assert default_cuts(games) == {2022: dt.date(2022, 12, 4), 2023: dt.date(2023, 11, 27)}
 
-    def test_unknown_season_raises(self):
-        games = winner_loser_games([("A", "B")])
-        with pytest.raises(ValueError):
-            default_cut_date(games, season=1999)
+    def test_no_games_no_cuts(self):
+        assert default_cuts([]) == {}
 
-    def test_errors_name_what_is_missing(self):
-        with pytest.raises(ValueError, match="no games to derive a cut date from"):
-            default_cut_date([])
-        with pytest.raises(ValueError, match="no games found for season 1999"):
-            default_cut_date(winner_loser_games([("A", "B")]), season=1999)
+    def test_cut_is_never_after_selection_day(self):
+        # A bowl game after selection day leaves the cut on selection day.
+        games = winner_loser_games([("A", "B")], start="2023-11-25") + [game(2023, "2024-01-01", "A", "C", 1, 0)]
+        assert default_cuts(games) == {2023: selection_sunday(2023)} == {2023: dt.date(2023, 12, 3)}
+
+    def test_game_on_selection_day_is_inside_the_cut(self):
+        games = winner_loser_games([("A", "B")], start="2023-12-03")
+        assert default_cuts(games) == {2023: dt.date(2023, 12, 3)}
+        [board] = snapshots_at(games, {"2023": default_cuts(games)[2023]})
+        assert [e.team for e in board.entries] == ["A", "B"]
+
+    @pytest.mark.parametrize("season", [0, 10_000, 10**20])
+    def test_season_without_a_calendar_date_is_not_clamped(self, season):
+        games = [Game(season, dt.date(2023, 12, 30), "A", "B", 1, 0)]
+        assert default_cuts(games) == {season: dt.date(2023, 12, 31)}
 
 
 POLICIES = st.one_of(
@@ -437,10 +441,9 @@ class TestSnapshotsAt:
 
     @settings(max_examples=60, deadline=None)
     @given(multi_season_games())
-    def test_default_cuts_agree_with_default_cut_date(self, games):
+    def test_default_cuts_are_the_day_after_each_seasons_last_game(self, games):
         cuts = default_cuts(games)
         assert set(cuts) == {g.season for g in games}
         for season, cut in cuts.items():
-            assert cut == default_cut_date(games, season)
             assert cut == max(g.date for g in games if g.season == season) + dt.timedelta(days=1)
-        assert default_cut_date(games) == cuts[max(cuts)]
+        assert default_cuts(_last_games(games).values()) == cuts  # what the CLI's notes rely on
