@@ -324,7 +324,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     cfg, policy = _model(args)
     games = _load_games(args, _aliases_from(args), lambda: datasets.sample_games().games)
     state = replay(games, cfg, policy)
-    board = rank_teams(state.ratings, top_n=args.top_n, conferences=datasets.bundled_conferences())
+    board = rank_teams(state.ratings, datasets.bundled_conferences())[: args.top_n]
     label = f"final ratings after {state.games_applied} games"
     snapshot = Snapshot(label=label, as_of=state.last_date or dt.date.min, entries=board)
     _emit(analysis.render_report(snapshot, args.format), args.out)
@@ -335,25 +335,25 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     cfg, policy = _model(args)
     aliases = _aliases_from(args)
     games = _load_games(args, aliases, lambda: datasets.sample_games().games)
+    last = _last_games(games)
+    defaults = default_cuts(last.values())
+    if args.season is not None and args.season not in defaults:
+        raise CliError(f"no games found for season {args.season}")
     if args.as_of:
         as_of = _parse_date(args.as_of, "--as-of")
         season = args.season if args.season is not None else board_season(as_of)
     else:
-        last = _last_games(games)
-        defaults = default_cuts(last.values())
         season = args.season if args.season is not None else max(defaults)
-        if season not in defaults:
-            raise CliError(f"no games found for season {season}")
         as_of = defaults[season]
         _note_early_cuts(defaults, last, [season])
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
     if args.selections and not selections:
         note = f"{args.selections} holds no selection records for {season}; the CFP column is empty"
         print(f"{PROG}: note: --selections: {note}", file=sys.stderr)
-    snapshot = snapshot_at(
-        games, as_of, cfg, policy, top_n=args.top_n,
-        label=board_label(season, as_of), conferences=datasets.bundled_conferences(),
+    board = snapshot_at(
+        games, as_of, cfg, policy, label=board_label(season, as_of), conferences=datasets.bundled_conferences()
     )
+    snapshot = replace(board, entries=board.entries[: args.top_n])
     _emit(analysis.render_report(snapshot, args.format, selections=selections or None), args.out)
     return 0
 
@@ -387,14 +387,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise CliError("the games file covers none of the selection seasons")
         cuts = {s: as_of or defaults[s] for s in seasons}  # --as-of comes with one --season
         _note_early_cuts(defaults, last, [] if as_of else seasons)
-        # Agreement ranks need the full board; the compare table only --top-n.
-        depth = None if args.agreement_report else args.top_n
-        boards = snapshots_at(
-            games, {board_label(s, cut): cut for s, cut in cuts.items()},
-            cfg, policy, depth, datasets.bundled_conferences(),
-        )
-        ranked = dict(zip(cuts, boards))
-        snapshots = {season: replace(snap, entries=snap.top(args.top_n)) for season, snap in ranked.items()}
+        labels = {board_label(s, cut): cut for s, cut in cuts.items()}
+        ranked = dict(zip(cuts, snapshots_at(games, labels, cfg, policy, datasets.bundled_conferences())))
+        snapshots = {season: replace(snap, entries=snap.entries[: args.top_n]) for season, snap in ranked.items()}
         selections = [r for r in selections if r.season in seasons]
     else:
         snapshots = datasets.bundled_snapshots()
@@ -404,6 +399,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     with _user_errors():
         reports, summary = analysis.compare_all(snapshots, selections)
+    # A full board holds every team with a game on or before its cut.
+    for pick in selections if args.games else ():
+        board = ranked[pick.season]
+        if board.rank_of(pick.team) is None:
+            note = f"the {pick.season} pick {pick.team} has no game on or before the cut, {board.as_of}"
+            print(f"{PROG}: note: {note}; check its name in --games and --aliases", file=sys.stderr)
 
     agreement = analysis.reference_agreement(ranked, datasets.bundled_snapshots()) if args.agreement_report else None
     # A --season run is the single-season report, without the aggregate.

@@ -226,15 +226,11 @@ def replay(
 
 
 def rank_teams(
-    ratings: Mapping[str, float],
-    top_n: int | None = None,
-    conferences: Mapping[str, str] | None = None,
+    ratings: Mapping[str, float], conferences: Mapping[str, str] | None = None
 ) -> tuple[SnapshotEntry, ...]:
-    """Rank teams by rating descending; equal ratings order by team name."""
+    """Rank every team by rating descending; equal ratings order by team name."""
     conferences = conferences or {}
     board = sorted(ratings.items(), key=lambda item: (-item[1], item[0]))
-    if top_n is not None:
-        board = board[: max(top_n, 0)]
     return tuple(
         SnapshotEntry(
             elo_rank=i + 1,
@@ -251,17 +247,14 @@ def snapshot_at(
     as_of: dt.date,
     cfg: EloConfig = EloConfig(),
     policy: CarryoverPolicy = CarryoverPolicy(),
-    top_n: int | None = None,
     label: str | None = None,
     conferences: Mapping[str, str] | None = None,
 ) -> Snapshot:
-    """The one-cut case of `snapshots_at`, labeled "as of DATE" unless given a label.
-
-    A cut before the first game yields an empty snapshot; a top_n beyond the
-    team count returns everyone.
+    """The one-cut case of `snapshots_at`, labeled "as of DATE" unless given a
+    label. A cut before the first game yields an empty snapshot.
     """
     label = label if label is not None else f"as of {as_of.isoformat()}"
-    return snapshots_at(games, {label: as_of}, cfg, policy, top_n, conferences)[0]
+    return snapshots_at(games, {label: as_of}, cfg, policy, conferences)[0]
 
 
 def snapshots_at(
@@ -269,10 +262,9 @@ def snapshots_at(
     cuts: Mapping[str, dt.date],
     cfg: EloConfig = EloConfig(),
     policy: CarryoverPolicy = CarryoverPolicy(),
-    top_n: int | None = None,
     conferences: Mapping[str, str] | None = None,
 ) -> list[Snapshot]:
-    """The ranked board at each cut, labeled by its key, in the order of `cuts`.
+    """The full ranked board at each cut, labeled by its key, in the order of `cuts`.
 
     One fold over the games dated on or before the latest cut yields every
     board, so a board never sees games after its cut and later games cannot
@@ -281,7 +273,7 @@ def snapshots_at(
     last_cut = max(cuts.values(), default=dt.date.min)
     _, boards, _ = replay_arms([g for g in games if g.date <= last_cut], (cfg,), policy, cuts.values())[0]
     return [
-        Snapshot(label, cut, rank_teams(boards[cut], top_n=top_n, conferences=conferences))
+        Snapshot(label, cut, rank_teams(boards[cut], conferences))
         for label, cut in cuts.items()
     ]
 

@@ -248,10 +248,11 @@ class TestExitCodes:
             (("backtest", "--eval-window", "2023..2019"), "--eval-window: first season 2023 is after last 2019"),
             (("sweep", "--eval-window", "2023..2019"), "--eval-window: first season 2023 is after last 2019"),
             (("snapshot", "--season", "1999"), "no games found for season 1999"),
+            (("snapshot", "--season", "1999", "--as-of", "2023-12-03"), "no games found for season 1999"),
         ],
         ids=[
             "compare-as-of-without-games", "compare-season-without-picks", "backtest-window", "sweep-window",
-            "snapshot-season-without-games",
+            "snapshot-season-without-games", "snapshot-season-without-games-at-a-cut",
         ],
     )
     def test_flag_value_error_exits_one_with_exactly_its_message(self, capsys, argv, error):
@@ -691,9 +692,13 @@ class TestSnapshot:
 
 
 class TestDefaultCut:
+    # Every bundled 2022 and 2023 pick has a game, so `compare` notes no absent pick.
     ROWS = [
+        "2022,2022-12-03,14,Georgia,TCU,24,17,false",
         "2022,2022-12-03,14,Michigan,Ohio State,10,3,false",
+        "2023,2023-11-25,13,Alabama,Georgia,27,24,false",
         "2023,2023-11-25,13,Michigan,Ohio State,10,3,false",
+        "2023,2023-11-25,13,Washington,Texas,35,31,false",
         "2023,2023-11-26,13,Ohio State,Georgia,21,14,false",
     ]
     BOWL = "2023,2024-01-01,16,Georgia,Michigan,9,7,false"
@@ -832,6 +837,29 @@ class TestCompare:
         assert err.endswith(
             "cfbelo: error: cannot compare against an empty snapshot '2021 board as of 2021-12-05'\n"
         )
+
+    def test_note_names_each_pick_without_a_game_before_its_cut(self, capsys, tmp_path):
+        # Michigan is ranked below the --top-n 3 rows: absent from the table, but no note.
+        selections = tmp_path / "picks.csv"
+        selections.write_bytes(
+            SELECTIONS_HEADER + b"2023,1,Michigan,Big Ten,false\n2023,2,Nowhere State,Pac-12,false\n"
+            b"2023,3,Texas,Big 12,false\n2023,4,Alabama,SEC,false\n"
+        )
+        code, _, err = run(capsys, "compare", "--games", DEMO_GAMES, "--selections", str(selections), "--top-n", "3")
+        note = "the 2023 pick Nowhere State has no game on or before the cut, 2023-12-03"
+        assert (code, err) == (0, f"cfbelo: note: {note}; check its name in --games and --aliases\n")
+
+    @pytest.mark.parametrize(
+        "games, err",
+        [
+            ((), ""),
+            (("--games", DEMO_GAMES), "cfbelo: note: skipping seasons without games: 2014, 2015, 2016, 2017, 2018, 2019, 2020\n"),
+        ],
+        ids=["bundled-boards", "demo-games"],
+    )
+    def test_no_absent_pick_note_for_the_bundled_picks(self, capsys, games, err):
+        code, _, got = run(capsys, "compare", *games)
+        assert (code, got) == (0, err)
 
     def test_cut_before_any_game_error_names_the_season_and_cut(self, capsys):
         code, out, err = run(capsys, "compare", "--games", DEMO_GAMES, "--season", "2023", "--as-of", "2021-01-01")

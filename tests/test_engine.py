@@ -219,8 +219,9 @@ class TestSnapshotAt:
 
     def test_top_n_beyond_team_count_returns_everyone(self):
         games = winner_loser_games([("A", "B"), ("C", "D")])
-        snap = snapshot_at(games, dt.date(2024, 1, 1), CFG, top_n=50)
+        snap = snapshot_at(games, dt.date(2024, 1, 1), CFG)
         assert len(snap.entries) == 4
+        assert snap.top(50) == snap.entries
 
     def test_ranks_are_contiguous_and_sorted(self):
         games = winner_loser_games([("A", "B"), ("A", "C"), ("B", "C")])
@@ -255,10 +256,10 @@ class TestSnapshotAt:
         assert snap.entries[1].conference == "Unknown"
 
     @pytest.mark.parametrize("n", [-1, -12])
-    def test_top_keeps_no_entries_for_a_negative_n_as_rank_teams_does(self, n):
+    def test_top_keeps_no_entries_for_a_negative_n(self, n):
         board = datasets.bundled_snapshots()[2023]
         assert len(board.entries) == 13
-        assert board.top(n) == () == rank_teams({e.team: e.rating for e in board.entries}, top_n=n)
+        assert board.top(n) == ()
 
 
 class TestBoardLabel:
@@ -414,17 +415,17 @@ def season_blocks(games):
 
 class TestSnapshotsAt:
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), multi_season_games(), POLICIES, st.none() | st.integers(0, 6))
-    def test_each_board_is_a_snapshot_at_its_cut(self, data, games, policy, top_n):
+    @given(st.data(), multi_season_games(), POLICIES)
+    def test_each_board_is_a_snapshot_at_its_cut(self, data, games, policy):
         cuts = {f"cut {i}": cut for i, cut in enumerate(sorted(data.draw(cut_dates(games))))}
-        boards = snapshots_at(games, cuts, CFG, policy, top_n)
+        boards = snapshots_at(games, cuts, CFG, policy)
         assert [(b.label, b.as_of) for b in boards] == list(cuts.items())
         for board, (label, cut) in zip(boards, cuts.items()):
-            assert board == snapshot_at(games, cut, CFG, policy, top_n, label)
+            assert board == snapshot_at(games, cut, CFG, policy, label)
             visible = [g for g in games if g.date <= cut]
+            assert {e.team for e in board.entries} == {t for g in visible for t in (g.team_a, g.team_b)}, label
             expected = naive_replay_with_boundaries(season_blocks(visible), mode=policy.mode, rho=policy.rho)
-            depth = len(expected) if top_n is None else min(top_n, len(expected))
-            assert [e.elo_rank for e in board.entries] == list(range(1, depth + 1)), label
+            assert [e.elo_rank for e in board.entries] == list(range(1, len(expected) + 1)), label
             for entry in board.entries:
                 assert entry.rating == pytest.approx(expected[entry.team], abs=1e-9), (label, entry.team)
 

@@ -1,6 +1,6 @@
 """Every library name the README gives, dotted (`cfbelo.engine.default_cuts`)
 or imported in its code, and every name in `cfbelo.__all__`, exists; every
-command line in its code blocks parses."""
+command line in its code blocks parses, and the "Library use" block runs."""
 
 import importlib
 import re
@@ -12,6 +12,7 @@ import pytest
 from cfbelo import cli
 
 README = Path(__file__).parent.parent / "README.md"
+DEMO_GAMES = Path(__file__).parent.parent / "src" / "cfbelo" / "data" / "sample_games_2021_2023.csv"
 
 
 def readme_names():
@@ -66,3 +67,14 @@ def test_every_readme_command_line_parses():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_the_library_use_block_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"^## Library use\n\n```python\n(.*?)^```", text, re.M | re.S)
+    (tmp_path / "games.csv").write_bytes(DEMO_GAMES.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    names = {"text": DEMO_GAMES.read_text(encoding="utf-8")}
+    exec(block, names)
+    assert [e.elo_rank for e in names["board"]] == list(range(1, 14))
+    assert names["state"].games_applied == len(names["parsed"].games) > 0

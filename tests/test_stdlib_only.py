@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: every import is relative or from
-the standard library, and every imported name is used."""
+the standard library, and every imported name is used. Every source parses
+under the oldest Python that pyproject.toml declares."""
 
 import ast
 import sys
@@ -49,3 +50,10 @@ def unused_imports(path):
 def test_every_imported_name_is_used():
     unused = {f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py")) for name in unused_imports(path)}
     assert not unused
+
+
+def test_every_source_parses_under_the_declared_python_floor():
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
