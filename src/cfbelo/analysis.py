@@ -278,7 +278,6 @@ def render_report(
     format and kept at full precision in csv/json. Passing the season's
     selection records fills the CFP column of a snapshot.
     """
-    fmt = _canonical_format(fmt)
     if isinstance(report, Snapshot):
         cfp = {r.team: r.committee_rank for r in selections or ()}
         return emit(_snapshot_view(report, cfp, fmt), fmt)
@@ -303,7 +302,6 @@ def render_comparisons(
     when given, is added as a `reference_agreement` key in JSON, as a blank
     row and its own rows in CSV, and as its table after the rest.
     """
-    fmt = _canonical_format(fmt)
     if summary is None and len(reports) != 1:
         raise ValueError("a compare document without an aggregate holds one season")
     return emit(_comparisons_view(reports, summary, agreement, fmt), fmt)
@@ -311,7 +309,6 @@ def render_comparisons(
 
 def render_sweep(results: Sequence[tuple[float, EvalSummary]], fmt: str) -> str:
     """Render a K sweep as one row per K value."""
-    fmt = _canonical_format(fmt)
     if fmt == "table":
         rows = [
             [f"{k:g}", str(s.n_games), f"{s.brier:.6f}", f"{s.log_loss:.6f}", f"{s.accuracy:.6f}"]
@@ -327,26 +324,21 @@ def render_sweep(results: Sequence[tuple[float, EvalSummary]], fmt: str) -> str:
 
 def render_agreement(entries: Sequence[AgreementEntry], fmt: str) -> str:
     """Render reference-board agreement, flagged as informational."""
-    fmt = _canonical_format(fmt)
     return emit(_agreement_view(entries, fmt), fmt)
 
 
 def emit(view: "str | list | dict", fmt: str) -> str:
-    """Text of a view built for `fmt`: table text as it is, CSV rows through
-    the one CSV writer, a JSON payload through json.dumps with indent 2."""
+    """Text of a view built for `fmt`: table text as it is, CSV rows through the one CSV writer,
+    a JSON payload through json.dumps with indent 2. It is the one format check: any other is a ValueError."""
     if fmt == "table":
         return view
     if fmt == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(view)
         return out.getvalue()
-    return json.dumps(view, indent=2) + "\n"
-
-
-def _canonical_format(fmt: str) -> str:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (choose from table, csv, json)")
-    return fmt
+    if fmt == "json":
+        return json.dumps(view, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r} (choose from table, csv, json)")
 
 
 def _rows_view(header: list[str], rows: list[list], fmt: str) -> list:
@@ -398,7 +390,7 @@ def _comparisons_view(
         view["reference_agreement"] = section
     elif fmt == "csv":
         view += [[], *section]
-    else:
+    elif fmt == "table":
         view += section
     return view
 

@@ -11,6 +11,7 @@ import argparse
 import datetime as dt
 import os
 import sys
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import replace
@@ -86,10 +87,7 @@ def _add_elo_opts(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument(
         "--scale", type=float, default=elo.scale, help="rating points per decade of odds (default: %(default)g)"
     )
-    p.add_argument(
-        "--carryover", default="full", metavar="full|reset|regress:RHO",
-        help="season-boundary policy (default: %(default)s)",
-    )
+    p.add_argument("--carryover", metavar="full|reset|regress:RHO", help="season-boundary policy (default: full)")
 
 
 def _add_input_opts(p: argparse.ArgumentParser, games_help: str, required: bool = False) -> None:
@@ -230,7 +228,7 @@ def _model(args: argparse.Namespace) -> tuple[EloConfig, CarryoverPolicy]:
     with _user_errors():
         cfg, *_ = [EloConfig(initial_rating=args.initial, k_factor=k, scale=args.scale) for k in ks]
     with _user_errors("--carryover: "):
-        return cfg, CarryoverPolicy.parse(args.carryover)
+        return cfg, CarryoverPolicy.parse("full" if args.carryover is None else args.carryover)
 
 
 def _parse_games(path: str, aliases: dict[str, str], allow_duplicates: bool) -> ParsedGames:
@@ -269,13 +267,22 @@ def _note_early_cuts(cuts: dict[int, dt.date], last: dict[int, Game], seasons: I
             print(f"{PROG}: note: {note}", file=sys.stderr)
 
 
+def _note_carryover(args: argparse.Namespace, games: list[Game], until: dt.date = dt.date.max) -> None:
+    # A parsed game lies in its season's window, so seasons rise with the date: bisection finds each boundary.
+    end, crossed, i = bisect_right(games, until, key=lambda g: g.date), 0, 0
+    while args.carryover is None and (i := bisect_right(games, games[i].season, i, end, key=lambda g: g.season)) < end:
+        crossed += 1
+    if crossed:
+        boundaries = "1 season boundary" if crossed == 1 else f"{crossed} season boundaries"
+        print(f"{PROG}: note: --carryover: the default, full, was used across {boundaries}", file=sys.stderr)
+
+
 def _load_selections(args: argparse.Namespace, aliases: dict[str, str]) -> list[SelectionRecord]:
     """The records of --selections, at least one, or the bundled ones when the flag is not given."""
     if not args.selections:
         return list(datasets.bundled_selections())
     with _user_errors("--selections: "):
-        parse = lambda f: parse_selections(f.read().decode("utf-8"), aliases=aliases)  # noqa: E731
-        records = _read_file(args.selections, "selections", parse)
+        records = _read_file(args.selections, "selections", lambda f: parse_selections(f, aliases))
     if not records:
         raise CliError(f"--selections: {args.selections} holds no selection records")
     return records
@@ -324,6 +331,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     cfg, policy = _model(args)
     games = _load_games(args, _aliases_from(args), lambda: datasets.sample_games().games)
     state = replay(games, cfg, policy)
+    _note_carryover(args, games)
     board = rank_teams(state.ratings, datasets.bundled_conferences())[: args.top_n]
     label = f"final ratings after {state.games_applied} games"
     snapshot = Snapshot(label=label, as_of=state.last_date or dt.date.min, entries=board)
@@ -350,9 +358,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     if args.selections and not selections:
         note = f"{args.selections} holds no selection records for {season}; the CFP column is empty"
         print(f"{PROG}: note: --selections: {note}", file=sys.stderr)
-    board = snapshot_at(
-        games, as_of, cfg, policy, label=board_label(season, as_of), conferences=datasets.bundled_conferences()
-    )
+    board = snapshot_at(games, as_of, cfg, policy, board_label(season, as_of), datasets.bundled_conferences())
+    _note_carryover(args, games, as_of)
     snapshot = replace(board, entries=board.entries[: args.top_n])
     _emit(analysis.render_report(snapshot, args.format, selections=selections or None), args.out)
     return 0
@@ -389,21 +396,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _note_early_cuts(defaults, last, [] if as_of else seasons)
         labels = {board_label(s, cut): cut for s, cut in cuts.items()}
         ranked = dict(zip(cuts, snapshots_at(games, labels, cfg, policy, datasets.bundled_conferences())))
+        _note_carryover(args, games, max(cuts.values()))
         snapshots = {season: replace(snap, entries=snap.entries[: args.top_n]) for season, snap in ranked.items()}
-        selections = [r for r in selections if r.season in seasons]
     else:
         snapshots = datasets.bundled_snapshots()
-        selections = [r for r in selections if r.season in snapshots]
-        if not selections:
-            raise CliError("no bundled board covers the requested season(s)")
+    selections = [r for r in selections if r.season in snapshots]
+    if not selections:
+        raise CliError("no bundled board covers the requested season(s)")
 
     with _user_errors():
         reports, summary = analysis.compare_all(snapshots, selections)
     # A full board holds every team with a game on or before its cut.
     for pick in selections if args.games else ():
-        board = ranked[pick.season]
-        if board.rank_of(pick.team) is None:
-            note = f"the {pick.season} pick {pick.team} has no game on or before the cut, {board.as_of}"
+        if ranked[pick.season].rank_of(pick.team) is None:
+            note = f"the {pick.season} pick {pick.team} has no game on or before the cut, {cuts[pick.season]}"
             print(f"{PROG}: note: {note}; check its name in --games and --aliases", file=sys.stderr)
 
     agreement = analysis.reference_agreement(ranked, datasets.bundled_snapshots()) if args.agreement_report else None
@@ -436,6 +442,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     games, window, cfg, policy = _scoring_inputs(args)
     with _user_errors():
         summary = evaluation.backtest(games, cfg, policy, window)
+    _note_carryover(args, games)
     _emit(analysis.render_report(summary, args.format), args.out)
     return 0
 
@@ -444,6 +451,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     games, window, cfg, policy = _scoring_inputs(args)
     with _user_errors():
         results = evaluation.sweep_k(games, args.k_values or SWEEP_KS, policy, window, base_cfg=cfg)
+    _note_carryover(args, games)
     _emit(analysis.render_sweep(results, args.format), args.out)
     return 0
 

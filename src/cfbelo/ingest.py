@@ -411,15 +411,15 @@ def rejects_to_csv(rejected: list[RejectedRow]) -> str:
     return "".join(f"{r.line_number},{r.reason},{r.raw.translate(_REPORT_ESCAPES)}\n" for r in rejected)
 
 
-def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[SelectionRecord]:
-    """Parse and validate a committee-selections CSV.
+def parse_selections(source: str | BinaryIO, aliases: dict[str, str] | None = None) -> list[SelectionRecord]:
+    """Parse and validate a committee-selections CSV, given as a text or an open binary file.
 
     Each season must contribute exactly four records with committee ranks
     1 through 4 and at most one champion. Violations raise SelectionsError
     naming the season.
     """
     directory = _ResolvedDirectory.of(aliases)
-    reader = csv.reader(_csv_lines(text))
+    reader = csv.reader(lines := _csv_lines(source))
     records: list[SelectionRecord] = []
     try:
         header = next(reader, None)
@@ -451,6 +451,8 @@ def parse_selections(text: str, aliases: dict[str, str] | None = None) -> list[S
             )
     except csv.Error as exc:  # a cell past the field limit
         raise SelectionsError(f"line {reader.line_num}: {exc}") from None
+    finally:
+        deque(lines, 0)  # decode the rest: a file that is not UTF-8 fails whatever its rows
 
     _check_selection_invariants(records)
     records.sort(key=lambda r: (r.season, r.committee_rank))

@@ -12,6 +12,7 @@ from cfbelo.analysis import (
     compare_all,
     emit,
     reference_agreement,
+    render_agreement,
     render_comparisons,
     render_report,
     render_sweep,
@@ -284,6 +285,28 @@ class TestRenderReport:
         with pytest.raises(TypeError):
             render_report(object(), "table")
 
+    @pytest.mark.parametrize(
+        "render",
+        [
+            lambda: render_report(bundled_snapshots()[2023], "xml", by_season(2023)),
+            lambda: render_report(selection_stats(bundled_selections()), "xml"),
+            lambda: render_report(EvalSummary(4, 0.25, 0.69, 0.5), "xml"),
+            lambda: render_comparisons(*compare_all(bundled_snapshots(), bundled_selections()), "xml"),
+            lambda: render_comparisons([compare(bundled_snapshots()[2023], by_season(2023))], None, "xml"),
+            lambda: render_comparisons(
+                *compare_all(bundled_snapshots(), bundled_selections()), "xml",
+                reference_agreement(bundled_snapshots(), bundled_snapshots()),
+            ),
+            lambda: render_sweep([(5.0, EvalSummary(4, 0.25, 0.69, 0.5))], "xml"),
+            lambda: render_agreement(reference_agreement(bundled_snapshots(), bundled_snapshots()), "xml"),
+        ],
+        ids=["snapshot", "stats", "eval", "comparisons", "one-season", "agreement-section", "sweep", "agreement"],
+    )
+    def test_every_renderer_rejects_an_unknown_format_alike(self, render):
+        with pytest.raises(ValueError) as raised:
+            render()
+        assert str(raised.value) == "unknown format 'xml' (choose from table, csv, json)"
+
 
 class TestReferenceAgreement:
     def test_identical_boards_agree_perfectly(self):
@@ -329,3 +352,6 @@ class TestJsonEmitter:
         reports, _ = compare_all(bundled_snapshots(), bundled_selections())
         with pytest.raises(ValueError, match="one season"):
             render_comparisons(reports[:2], None, "json")
+        # The document's shape is checked before its format.
+        with pytest.raises(ValueError, match="one season"):
+            render_comparisons(reports[:2], None, "xml")

@@ -24,6 +24,9 @@ from naive_elo import naive_replay
 
 GAMES_HEADER = "season,date,week,home_team,away_team,home_points,away_points,neutral_site"
 DEMO_GAMES = "src/cfbelo/data/sample_games_2021_2023.csv"
+# What a replaying command without --carryover prints once its fold crosses a season boundary.
+CARRYOVER_NOTE = "cfbelo: note: --carryover: the default, full, was used across {}\n"
+ONE_BOUNDARY, TWO_BOUNDARIES = CARRYOVER_NOTE.format("1 season boundary"), CARRYOVER_NOTE.format("2 season boundaries")
 
 THREE_GAME_FIXTURE = "\n".join(
     [
@@ -232,6 +235,7 @@ class TestExitCodes:
             ("--scale", "0", "scale must be a positive finite number", REPLAYING),
             ("--carryover", "x", "--carryover: unknown carryover policy 'x' (use full, reset, or regress:RHO)", REPLAYING),
             ("--top-n", "-1", "--top-n must be non-negative, got -1", ("rate", "snapshot", "compare")),
+            ("--carryover", "", "--carryover: unknown carryover policy '' (use full, reset, or regress:RHO)", REPLAYING),
         ],
     )
     @pytest.mark.parametrize("games", [(), ("--games", "/no/such/games.csv")], ids=["no-games", "missing-games"])
@@ -566,12 +570,14 @@ class TestSelectionsAndAliasFiles:
         selections.write_bytes(SELECTIONS_HEADER + b"".join(b"2014,%d,Team %d,SEC,false\n" % (r, r) for r in range(1, 5)))
         code, out, err = run(capsys, "snapshot", "--selections", str(selections), "--format", "json")
         assert (code, err) == (
-            0, f"cfbelo: note: --selections: {selections} holds no selection records for 2023; the CFP column is empty\n"
+            0,
+            f"cfbelo: note: --selections: {selections} holds no selection records for 2023; the CFP column is empty\n"
+            + TWO_BOUNDARIES,
         )
         assert {e["cfp_rank"] for e in json.loads(out)["entries"]} == {None}
         # The bundled selections end at 2023, and say nothing of a later board.
         code, _, err = run(capsys, "snapshot", "--as-of", "2024-06-01")
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, TWO_BOUNDARIES)
 
     def test_compare_on_bundled_boards_without_the_picks_season_exits_one(self, capsys, tmp_path):
         selections = tmp_path / "picks.csv"
@@ -617,6 +623,20 @@ class TestSelectionsAndAliasFiles:
         code, out, err = run(capsys, command, "--selections", str(selections))
         assert (code, out) == (1, "")
         assert err == f"cfbelo: error: selections file {selections} is not UTF-8: byte 20: invalid continuation byte\n"
+
+    @pytest.mark.parametrize(
+        "head", [b"no,header\n", SELECTIONS_HEADER + b"2023,x,Team,SEC,true\n"], ids=["header", "row"]
+    )
+    def test_a_bad_byte_past_the_first_chunk_outranks_a_bad_line_before_it(self, capsys, tmp_path, head):
+        # The file is decoded in 8 KiB chunks; a bad line in the first one still waits for the rest.
+        selections = tmp_path / "picks.csv"
+        data = head + b"2023,1,Team,SEC,true\n" * 600 + b"2023,1,Caf\xe9,SEC,true\n"
+        selections.write_bytes(data)
+        code, out, err = run(capsys, "stats", "--selections", str(selections))
+        byte = data.index(b"\xe9")
+        assert (code, out, err) == (
+            1, "", f"cfbelo: error: selections file {selections} is not UTF-8: byte {byte}: invalid continuation byte\n"
+        )
 
 
 class TestSeasonCalendar:
@@ -712,32 +732,92 @@ class TestDefaultCut:
     @pytest.mark.parametrize("season, as_of", [(("--season", "2022"), "2022-12-04"), ((), "2023-11-27")])
     def test_snapshot_cuts_the_season_or_the_latest_the_day_after_its_last_game(self, capsys, tmp_path, season, as_of):
         code, out, err = run(capsys, "snapshot", "--games", self.games(tmp_path), *season, "--format", "json")
-        assert (code, err, json.loads(out)["as_of"]) == (0, "", as_of)
+        notes = "" if season else ONE_BOUNDARY  # the latest cut folds 2022 and 2023
+        assert (code, err, json.loads(out)["as_of"]) == (0, notes, as_of)
 
     @pytest.mark.parametrize("command", [("snapshot",), ("compare", "--season", "2023")])
     def test_note_names_a_season_cut_on_selection_day_before_its_last_game(self, capsys, tmp_path, command):
         games = self.games(tmp_path, self.BOWL)
         default = run(capsys, *command, "--games", games)
         explicit = run(capsys, *command, "--games", games, "--as-of", "2023-12-03")
-        assert default == (*explicit[:2], self.NOTE)
+        assert default == (*explicit[:2], self.NOTE + ONE_BOUNDARY)
 
     @pytest.mark.parametrize(
-        "command",
+        "command, notes",
         [
-            ("snapshot", "--season", "2022"), ("compare", "--season", "2022"),
-            ("snapshot", "--as-of", "2024-01-02"), ("compare", "--season", "2023", "--as-of", "2024-01-02"),
+            (("snapshot", "--season", "2022"), ""), (("compare", "--season", "2022"), ""),
+            (("snapshot", "--as-of", "2024-01-02"), ONE_BOUNDARY),
+            (("compare", "--season", "2023", "--as-of", "2024-01-02"), ONE_BOUNDARY),
         ],
         ids=["snapshot-other-season", "compare-other-season", "snapshot-explicit-cut", "compare-explicit-cut"],
     )
-    def test_no_note_for_a_season_outside_the_output_or_an_explicit_cut(self, capsys, tmp_path, command):
+    def test_no_note_for_a_season_outside_the_output_or_an_explicit_cut(self, capsys, tmp_path, command, notes):
+        # The 2022-2023 fold still notes its default carryover.
         code, _, err = run(capsys, *command, "--games", self.games(tmp_path, self.BOWL))
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, notes)
 
     @pytest.mark.parametrize("command", [("snapshot",), ("compare",)])
     def test_no_note_on_the_bundled_demo_whose_cuts_are_selection_days(self, capsys, command):
         code, _, err = run(capsys, *command, "--games", DEMO_GAMES)
         assert code == 0
         assert "default cut" not in err
+
+
+class TestCarryoverNote:
+    """Without --carryover, a fold that crosses a season boundary says that it used `full`."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [("rate",), ("snapshot",), ("backtest", "--games", DEMO_GAMES), ("sweep", "--games", DEMO_GAMES)],
+        ids=["rate", "snapshot", "backtest", "sweep"],
+    )
+    def test_a_fold_over_the_bundled_demo_notes_its_two_boundaries(self, capsys, command):
+        code, _, err = run(capsys, *command)
+        assert (code, err) == (0, TWO_BOUNDARIES)
+
+    @pytest.mark.parametrize(
+        "season, notes", [("2021", ""), ("2022", ONE_BOUNDARY), ("2023", TWO_BOUNDARIES)], ids=["2021", "2022", "2023"]
+    )
+    def test_a_cut_counts_only_the_boundaries_folded_before_it(self, capsys, season, notes):
+        for command in ("snapshot", "compare"):
+            code, _, err = run(capsys, command, "--games", DEMO_GAMES, "--season", season)
+            assert (code, err) == (0, notes)
+
+    @pytest.mark.parametrize("command", sorted(REPLAYING))
+    def test_no_note_with_an_explicit_carryover(self, capsys, command):
+        code, _, err = run(capsys, command, "--games", DEMO_GAMES, "--carryover", "full")
+        assert code == 0
+        assert "--carryover" not in err
+
+    @pytest.mark.parametrize("command", sorted(REPLAYING))
+    def test_no_note_on_a_one_season_file(self, capsys, three_games, command):
+        code, _, err = run(capsys, command, "--games", str(three_games))
+        assert code == 0
+        assert "--carryover" not in err
+
+    @pytest.mark.parametrize("command", [("compare",), ("backtest",), ("sweep",)])
+    def test_no_note_on_bundled_boards_or_the_one_season_synthetic_league(self, capsys, command):
+        code, _, err = run(capsys, *command)
+        assert (code, err) == (0, "")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(range(2018, 2024)), min_size=1, max_size=12), st.integers(0, 6))
+    def test_the_count_is_the_seasons_folded_less_one(self, seasons, cut_season):
+        # Seasons may skip a year; the policy still fires once per change of season.
+        rows = [f"{s},{s}-09-{d + 1:02},1,Georgia,Texas,21,7,false" for d, s in enumerate(sorted(seasons))]
+        as_of = f"{2017 + cut_season}-12-31"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "games.csv"
+            path.write_text("\n".join([GAMES_HEADER, *rows]) + "\n", encoding="utf-8")
+            for argv, folded in (
+                (["rate"], set(seasons)), (["snapshot", "--as-of", as_of], {s for s in seasons if f"{s}-12-31" <= as_of})
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert main([*argv, "--games", str(path)]) == 0
+                crossed = len(folded) - 1
+                boundaries = "1 season boundary" if crossed == 1 else f"{crossed} season boundaries"
+                assert err.getvalue() == (CARRYOVER_NOTE.format(boundaries) if crossed > 0 else "")
 
 
 class TestCompare:
@@ -847,13 +927,17 @@ class TestCompare:
         )
         code, _, err = run(capsys, "compare", "--games", DEMO_GAMES, "--selections", str(selections), "--top-n", "3")
         note = "the 2023 pick Nowhere State has no game on or before the cut, 2023-12-03"
-        assert (code, err) == (0, f"cfbelo: note: {note}; check its name in --games and --aliases\n")
+        assert (code, err) == (0, f"{TWO_BOUNDARIES}cfbelo: note: {note}; check its name in --games and --aliases\n")
 
     @pytest.mark.parametrize(
         "games, err",
         [
             ((), ""),
-            (("--games", DEMO_GAMES), "cfbelo: note: skipping seasons without games: 2014, 2015, 2016, 2017, 2018, 2019, 2020\n"),
+            (
+                ("--games", DEMO_GAMES),
+                "cfbelo: note: skipping seasons without games: 2014, 2015, 2016, 2017, 2018, 2019, 2020\n"
+                + TWO_BOUNDARIES,
+            ),
         ],
         ids=["bundled-boards", "demo-games"],
     )

@@ -786,6 +786,34 @@ class TestParseSelections:
         with pytest.raises(SelectionsError, match=f"line {index + 2}: bad season or rank"):
             parse_selections(self.make(*rows))
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            ("2019,1,Alpha,Conf,false", "2019,2,Beta,Conf,false", "2019,3,Gamma,Conf,false", "2019,4,Delta,Conf,true"),
+            ("2019,1,Alpha,Conf,false", "2019,2,Beta,Conf"),
+            ("2019,1,Alpha,Conf,maybe",),
+            ("2019,x,Alpha,Conf,false",),
+            ("2019,1,Alpha,Conf,false",),
+            ("2019,1,Ålpha \u65e5,Conf,false", "2019,2,Beta,Conf,false", "2019,3,Gamma,Conf,false", "2019,4,Delta,Conf,false"),
+        ],
+        ids=["header-only", "valid", "short-row", "bad-flag", "bad-rank", "short-season", "non-ascii"],
+    )
+    def test_a_text_and_its_utf8_file_parse_alike(self, rows, newline, bom):
+        text = bom + newline.join([self.HEADER, *rows]) + newline
+
+        def outcome(source):
+            try:
+                return parse_selections(source, {"alpha": "Alpha U"})
+            except SelectionsError as exc:
+                return str(exc)
+
+        file = io.BytesIO(text.encode("utf-8"))
+        assert outcome(text) == outcome(file)
+        assert file.read() == b"" and not file.closed  # read to its end and left open, even on a bad row
+
     def test_bundled_records_count(self):
         from cfbelo.datasets import bundled_selections
 
