@@ -27,7 +27,6 @@ from .engine import (
     Snapshot,
     board_label,
     board_season,
-    _last_games,
     default_cuts,
     rank_teams,
     replay,
@@ -343,7 +342,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     cfg, policy = _model(args)
     aliases = _aliases_from(args)
     games = _load_games(args, aliases, lambda: datasets.sample_games().games)
-    last = _last_games(games)
+    last = {g.season: g for g in games}
     defaults = default_cuts(last.values())
     if args.season is not None and args.season not in defaults:
         raise CliError(f"no games found for season {args.season}")
@@ -383,7 +382,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     if args.games:
         games = _load_games(args, aliases)
-        last = _last_games(games)
+        last = {g.season: g for g in games}
         defaults = default_cuts(last.values())
         wanted = sorted({r.season for r in selections})
         seasons = [s for s in wanted if s in defaults]

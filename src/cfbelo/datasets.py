@@ -17,8 +17,6 @@ from .engine import Snapshot, SnapshotEntry, selection_sunday
 from .ingest import (
     ParsedGames,
     SelectionRecord,
-    _csv_lines,
-    _ResolvedDirectory,
     load_aliases,
     normalize_team,
     parse_games,
@@ -39,7 +37,7 @@ def _read(name: str) -> str:
 def bundled_aliases() -> dict[str, str]:
     """The bundled alias directory (raw spelling -> canonical team name), with
     its lookup table built once for every parse that uses it. Read-only."""
-    return _ResolvedDirectory(load_aliases(_read(ALIASES_RESOURCE)))
+    return load_aliases(_read(ALIASES_RESOURCE))
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +55,7 @@ def bundled_snapshots() -> dict[int, Snapshot]:
     """
     aliases = bundled_aliases()
     by_season: dict[int, list[SnapshotEntry]] = {}
-    reader = csv.DictReader(_csv_lines(_read(SNAPSHOTS_RESOURCE)))
+    reader = csv.DictReader(_read(SNAPSHOTS_RESOURCE).splitlines())
     for row in reader:
         season = int(row["season"])
         by_season.setdefault(season, []).append(

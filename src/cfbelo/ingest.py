@@ -84,7 +84,9 @@ class ParsedGames:
 
 
 def load_aliases(text: str) -> dict[str, str]:
-    """Parse an alias directory: a JSON object of alias -> canonical name."""
+    """Parse an alias directory, a JSON object of alias -> canonical name, into a dict whose lookup table
+    is built once for every parse it is passed to. ValueError if a canonical name is blank or not clean, or if
+    two names that clean and casefold alike name different teams: re-ingesting ingest's output changes nothing."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -93,7 +95,13 @@ def load_aliases(text: str) -> dict[str, str]:
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
         raise ValueError("alias directory must be a JSON object mapping names to names")
-    return data
+    directory = _ResolvedDirectory(data)
+    for name, team in chain(data.items(), zip(data.values(), data.values())):
+        if not team or _clean(team) != team:
+            raise ValueError(f"canonical name {team!r} is blank or not trimmed to single spaces")
+        if (hit := directory.lookup(_clean(name))) != team:
+            raise ValueError(f"{name!r} names {team!r}, but a name alike in case and spacing names {hit!r}")
+    return directory
 
 
 def _clean(name: str) -> str:

@@ -520,6 +520,9 @@ class TestOverLongInput:
 
 
 SELECTIONS_HEADER = b"season,committee_rank,team,conference,won_championship\n"
+SELECTIONS = "src/cfbelo/data/cfp_selections_2014_2023.csv"
+# Spellings of alias keys, canonical names and team cells: blank, unclean, and alike in case and spacing.
+ALIAS_SPELLINGS = ["Ohio State", "ohio  state", " OSU", "osu", "Georgia", "UGA", "", "   ", "Texas", "TEXAS"]
 
 
 class TestSelectionsAndAliasFiles:
@@ -637,6 +640,56 @@ class TestSelectionsAndAliasFiles:
         assert (code, out, err) == (
             1, "", f"cfbelo: error: selections file {selections} is not UTF-8: byte {byte}: invalid continuation byte\n"
         )
+
+    @pytest.mark.parametrize(
+        "directory, error",
+        [
+            ({"Georgia": "", "Texas": "   "}, "canonical name '' is blank or not trimmed to single spaces"),
+            (
+                {"OSU": "Ohio State", "osu": "Oklahoma State"},
+                "'OSU' names 'Ohio State', but a name alike in case and spacing names 'Oklahoma State'",
+            ),
+        ],
+        ids=["blank-canonical-name", "keys-alike-name-two-teams"],
+    )
+    def test_alias_directory_that_breaks_the_canonical_form_exits_one(self, capsys, three_games, directory, error):
+        aliases = three_games.parent / "aliases.json"
+        aliases.write_text(json.dumps(directory), encoding="utf-8")
+        code, out, err = run(capsys, "ingest", "--games", str(three_games), "--aliases", str(aliases))
+        assert (code, out, err) == (1, "", f"cfbelo: error: --aliases: {aliases}: {error}\n")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(ALIAS_SPELLINGS), st.sampled_from(ALIAS_SPELLINGS), max_size=5),
+        st.lists(st.tuples(st.sampled_from(ALIAS_SPELLINGS), st.sampled_from(ALIAS_SPELLINGS)), max_size=8),
+    )
+    def test_ingest_output_is_a_fixed_point_of_any_directory_the_loader_accepts(self, directory, pairings):
+        with tempfile.TemporaryDirectory() as tmp:
+            aliases, games = Path(tmp) / "aliases.json", Path(tmp) / "games.csv"
+            aliases.write_text(json.dumps(directory), encoding="utf-8")
+            rows = [f"2023,{dt.date(2023, 9, 2) + dt.timedelta(days=7 * i)},1,{home},{away},21,7,false"
+                    for i, (home, away) in enumerate(pairings)]
+            games.write_text("\n".join([GAMES_HEADER, *rows]) + "\n", encoding="utf-8")
+            argv = ["ingest", "--games", str(games), "--aliases", str(aliases)]
+            code, first = run_quietly(argv)
+            try:
+                ingest.load_aliases(json.dumps(directory))
+            except ValueError:
+                assert (code, first) == (1, "")
+                return
+            assert code == 0
+            games.write_text(first, encoding="utf-8")
+            assert run_quietly(argv) == (0, first)
+
+    def test_compare_builds_one_alias_table_for_its_games_and_selections(self, capsys, monkeypatch, tmp_path):
+        aliases = tmp_path / "aliases.json"
+        aliases.write_text('{"UGA": "Georgia"}', encoding="utf-8")
+        datasets.bundled_conferences()  # the bundled data's own table is built and cached beforehand
+        built = []
+        resolve = ingest._ResolvedDirectory.__init__
+        monkeypatch.setattr(ingest._ResolvedDirectory, "__init__", lambda self, d: built.append(1) or resolve(self, d))
+        code, _, _ = run(capsys, "compare", "--games", DEMO_GAMES, "--aliases", str(aliases), "--selections", SELECTIONS)
+        assert (code, len(built)) == (0, 1)
 
 
 class TestSeasonCalendar:

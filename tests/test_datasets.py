@@ -1,5 +1,7 @@
+import csv
 import datetime as dt
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +26,20 @@ class TestBundledSnapshots:
             assert [e.elo_rank for e in snap.entries] == list(range(1, len(snap.entries) + 1))
             ratings = [e.rating for e in snap.entries]
             assert ratings == sorted(ratings, reverse=True), season
+
+    def test_the_boards_read_alike_as_plain_lines_and_as_a_csv_file(self, monkeypatch):
+        # bundled_snapshots splits the file at str.splitlines' breaks; ingest reads a user's CSV
+        # file as csv does. A quoted line break, CR, BOM or other separator in the data would differ.
+        text = datasets._read(datasets.SNAPSHOTS_RESOURCE)
+        as_csv_file = SimpleNamespace(DictReader=lambda _lines: csv.DictReader(ingest._csv_lines(text)))
+        monkeypatch.setattr(datasets, "csv", as_csv_file)
+        bundled_snapshots.cache_clear()
+        try:
+            boards = bundled_snapshots()
+        finally:
+            bundled_snapshots.cache_clear()
+        monkeypatch.undo()
+        assert bundled_snapshots() == boards
 
     def test_2023_board_top_four(self):
         top4 = [(e.team, e.rating) for e in bundled_snapshots()[2023].top(4)]
@@ -98,6 +114,29 @@ class TestAliasesAndConferences:
             load_aliases('["not", "a", "mapping"]')
         with pytest.raises(ValueError):
             load_aliases('{"a": 1}')
+
+    @pytest.mark.parametrize(
+        "directory, error",
+        [
+            ({"Texas": "   "}, "canonical name '   ' is blank or not trimmed to single spaces"),
+            ({"Texas": " Texas"}, "canonical name ' Texas' is blank or not trimmed to single spaces"),
+            ({"OSU": "Ohio\tState"}, "canonical name 'Ohio\\tState' is blank or not trimmed to single spaces"),
+            ({"A": "B", "B": "C"}, "'B' names 'B', but a name alike in case and spacing names 'C'"),
+            (
+                {"tOSU": "Ohio State", "OSU": "OHIO STATE"},
+                "'OHIO STATE' names 'OHIO STATE', but a name alike in case and spacing names 'Ohio State'",
+            ),
+        ],
+        ids=["blank", "untrimmed", "tab", "chain", "canonical-names-alike"],
+    )
+    def test_alias_loader_refuses_a_canonical_name_that_does_not_resolve_to_itself(self, directory, error):
+        with pytest.raises(ValueError) as refused:
+            load_aliases(json.dumps(directory))
+        assert str(refused.value) == error
+
+    def test_alias_loader_takes_names_alike_that_name_one_team(self):
+        directory = {"Ohio St.": "Ohio State", "ohio  STATE": "Ohio State", "Ohio State": "Ohio State"}
+        assert load_aliases(json.dumps(directory)) == directory
 
     def test_bundled_boards_build_one_alias_table(self, monkeypatch):
         built = []

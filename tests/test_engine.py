@@ -16,7 +16,6 @@ from cfbelo.engine import (
     OutOfOrderError,
     RatingOverflowError,
     TiedScoreError,
-    _last_games,
     board_label,
     default_cuts,
     label_season,
@@ -447,4 +446,5 @@ class TestSnapshotsAt:
         assert set(cuts) == {g.season for g in games}
         for season, cut in cuts.items():
             assert cut == max(g.date for g in games if g.season == season) + dt.timedelta(days=1)
-        assert default_cuts(_last_games(games).values()) == cuts  # what the CLI's notes rely on
+        # The CLI's notes take each season's last game from the date-ordered games parse_games returns.
+        assert default_cuts({g.season: g for g in sorted(games, key=lambda g: g.date)}.values()) == cuts

@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: every import is relative or from
-the standard library, and every imported name is used. Every source parses
-under the oldest Python that pyproject.toml declares."""
+the standard library, every imported name is used, and no module imports
+another's private name. Every source parses under the oldest Python that
+pyproject.toml declares."""
 
 import ast
 import sys
@@ -59,15 +60,6 @@ def test_every_source_parses_under_the_declared_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-# The private names one cfbelo module imports from another. The list may only
-# shrink: a new cross-module use of a `_name` should make the name public first.
-PRIVATE_IMPORTS = {
-    ("cli.py", "engine", "_last_games"),
-    ("datasets.py", "ingest", "_csv_lines"),
-    ("datasets.py", "ingest", "_ResolvedDirectory"),
-}
-
-
 def private_imports(path):
     """(file, module, name) for each `_private` name a source file imports from another cfbelo module."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
@@ -76,7 +68,7 @@ def private_imports(path):
             yield from ((path.name, module, alias.name) for alias in node.names if alias.name.startswith("_"))
 
 
-def test_no_private_import_across_modules_beyond_the_allowlist():
-    found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in private_imports(path)}
-    assert found <= PRIVATE_IMPORTS, sorted(found - PRIVATE_IMPORTS)
-    assert found == PRIVATE_IMPORTS, f"drop {sorted(PRIVATE_IMPORTS - found)} from the allowlist"
+def test_no_module_imports_a_private_name_from_another():
+    # A name another module needs is public: a `_name` has one owner.
+    found = [imp for path in sorted(PACKAGE.glob("*.py")) for imp in private_imports(path)]
+    assert not found
