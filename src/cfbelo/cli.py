@@ -1,8 +1,8 @@
 """Command-line front end: ingest -> replay -> analysis/evaluation.
 
-Every command writes a deterministic report to stdout (or --out), so repeated
-invocations over the same inputs are byte-identical. Exit codes: 0 success,
-1 user or input error, 2 internal error.
+Every command returns a deterministic report that `main` writes to stdout (or
+--out), so repeated invocations over the same inputs are byte-identical. Exit
+codes: 0 success, 1 user or input error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -258,12 +258,19 @@ def _report_ingest_problems(parsed: ParsedGames) -> None:
         sys.stderr.write(rejects_to_csv(parsed.rejected))
 
 
-def _note_early_cuts(cuts: dict[int, dt.date], last: dict[int, Game], seasons: Iterable[int]) -> None:
-    # A default cut on selection day leaves out the season's later games, such as its bowls.
-    for season in seasons:
-        if last[season].date > cuts[season]:
-            note = f"the {season} default cut is selection day, {cuts[season]}; its last game is on {last[season].date}"
-            print(f"{PROG}: note: {note}", file=sys.stderr)
+def _note(text: str) -> None:
+    print(f"{PROG}: note: {text}", file=sys.stderr)
+
+
+def _cuts(last: dict[int, Game], seasons: list[int], as_of: dt.date | None) -> dict[int, dt.date]:
+    """Each season's cut, in `seasons` order: --as-of if given, else the default, noted if it leaves games out."""
+    if as_of:
+        return dict.fromkeys(seasons, as_of)
+    cuts = default_cuts(last[s] for s in seasons)
+    for s in seasons:
+        if last[s].date > cuts[s]:
+            _note(f"the {s} default cut is selection day, {cuts[s]}; its last game is on {last[s].date}")
+    return cuts
 
 
 def _note_carryover(args: argparse.Namespace, games: list[Game], until: dt.date = dt.date.max) -> None:
@@ -273,7 +280,7 @@ def _note_carryover(args: argparse.Namespace, games: list[Game], until: dt.date 
         crossed += 1
     if crossed:
         boundaries = "1 season boundary" if crossed == 1 else f"{crossed} season boundaries"
-        print(f"{PROG}: note: --carryover: the default, full, was used across {boundaries}", file=sys.stderr)
+        _note(f"--carryover: the default, full, was used across {boundaries}")
 
 
 def _load_selections(args: argparse.Namespace, aliases: dict[str, str]) -> list[SelectionRecord]:
@@ -315,10 +322,9 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 # Subcommands
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> Iterator[str]:
     parsed = _parse_games(args.games, _aliases_from(args), args.allow_duplicates)
-    _emit(_render_games(parsed.games, args.format), args.out)
-    return 0
+    return _render_games(parsed.games, args.format)
 
 
 def _render_games(games: list[Game], fmt: str) -> Iterator[str]:
@@ -326,45 +332,36 @@ def _render_games(games: list[Game], fmt: str) -> Iterator[str]:
     return {"csv": games_to_csv, "json": games_to_json, "table": games_to_table}[fmt](games)
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
+def _cmd_rate(args: argparse.Namespace) -> str:
     cfg, policy = _model(args)
     games = _load_games(args, _aliases_from(args), lambda: datasets.sample_games().games)
     state = replay(games, cfg, policy)
     _note_carryover(args, games)
     board = rank_teams(state.ratings, datasets.bundled_conferences())[: args.top_n]
     label = f"final ratings after {state.games_applied} games"
-    snapshot = Snapshot(label=label, as_of=state.last_date or dt.date.min, entries=board)
-    _emit(analysis.render_report(snapshot, args.format), args.out)
-    return 0
+    return analysis.render_report(Snapshot(label=label, as_of=state.last_date, entries=board), args.format)
 
 
-def _cmd_snapshot(args: argparse.Namespace) -> int:
+def _cmd_snapshot(args: argparse.Namespace) -> str:
     cfg, policy = _model(args)
     aliases = _aliases_from(args)
     games = _load_games(args, aliases, lambda: datasets.sample_games().games)
     last = {g.season: g for g in games}
-    defaults = default_cuts(last.values())
-    if args.season is not None and args.season not in defaults:
+    if args.season is not None and args.season not in last:
         raise CliError(f"no games found for season {args.season}")
-    if args.as_of:
-        as_of = _parse_date(args.as_of, "--as-of")
-        season = args.season if args.season is not None else board_season(as_of)
-    else:
-        season = args.season if args.season is not None else max(defaults)
-        as_of = defaults[season]
-        _note_early_cuts(defaults, last, [season])
+    as_of = _parse_date(args.as_of, "--as-of") if args.as_of else None
+    season = args.season if args.season is not None else (board_season(as_of) if as_of else max(last))
+    as_of = _cuts(last, [season], as_of)[season]
     selections = [r for r in _load_selections(args, aliases) if r.season == season]
     if args.selections and not selections:
-        note = f"{args.selections} holds no selection records for {season}; the CFP column is empty"
-        print(f"{PROG}: note: --selections: {note}", file=sys.stderr)
+        _note(f"--selections: {args.selections} holds no selection records for {season}; the CFP column is empty")
     board = snapshot_at(games, as_of, cfg, policy, board_label(season, as_of), datasets.bundled_conferences())
     _note_carryover(args, games, as_of)
     snapshot = replace(board, entries=board.entries[: args.top_n])
-    _emit(analysis.render_report(snapshot, args.format, selections=selections or None), args.out)
-    return 0
+    return analysis.render_report(snapshot, args.format, selections=selections or None)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> str:
     cfg, policy = _model(args)
     if args.as_of and not args.games:
         raise CliError("--as-of only applies when replaying boards from --games")
@@ -383,16 +380,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.games:
         games = _load_games(args, aliases)
         last = {g.season: g for g in games}
-        defaults = default_cuts(last.values())
         wanted = sorted({r.season for r in selections})
-        seasons = [s for s in wanted if s in defaults]
-        skipped = [str(s) for s in wanted if s not in defaults]
+        seasons = [s for s in wanted if s in last]
+        skipped = [str(s) for s in wanted if s not in last]
         if skipped:
-            print(f"{PROG}: note: skipping seasons without games: {', '.join(skipped)}", file=sys.stderr)
+            _note(f"skipping seasons without games: {', '.join(skipped)}")
         if not seasons:
             raise CliError("the games file covers none of the selection seasons")
-        cuts = {s: as_of or defaults[s] for s in seasons}  # --as-of comes with one --season
-        _note_early_cuts(defaults, last, [] if as_of else seasons)
+        cuts = _cuts(last, seasons, as_of)  # --as-of comes with one --season
         labels = {board_label(s, cut): cut for s, cut in cuts.items()}
         ranked = dict(zip(cuts, snapshots_at(games, labels, cfg, policy, datasets.bundled_conferences())))
         _note_carryover(args, games, max(cuts.values()))
@@ -409,24 +404,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for pick in selections if args.games else ():
         if ranked[pick.season].rank_of(pick.team) is None:
             note = f"the {pick.season} pick {pick.team} has no game on or before the cut, {cuts[pick.season]}"
-            print(f"{PROG}: note: {note}; check its name in --games and --aliases", file=sys.stderr)
+            _note(f"{note}; check its name in --games and --aliases")
 
     agreement = analysis.reference_agreement(ranked, datasets.bundled_snapshots()) if args.agreement_report else None
     # A --season run is the single-season report, without the aggregate.
     summary = None if args.season is not None else summary
-    _emit(analysis.render_comparisons(reports, summary, args.format, agreement), args.out)
-    return 0
+    return analysis.render_comparisons(reports, summary, args.format, agreement)
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> str:
     records = _load_selections(args, _aliases_from(args))
-    _emit(analysis.render_report(analysis.selection_stats(records), args.format), args.out)
-    return 0
+    return analysis.render_report(analysis.selection_stats(records), args.format)
 
 
-def _scoring_inputs(
-    args: argparse.Namespace,
-) -> tuple[list[Game], tuple[int, int] | None, EloConfig, CarryoverPolicy]:
+def _scoring_inputs(args: argparse.Namespace) -> tuple[list[Game], tuple[int, int] | None, EloConfig, CarryoverPolicy]:
     """The games, eval window, config and policy of `backtest` and `sweep`."""
     cfg, policy = _model(args)
     games = _load_games(
@@ -437,22 +428,20 @@ def _scoring_inputs(
     return games, window, cfg, policy
 
 
-def _cmd_backtest(args: argparse.Namespace) -> int:
+def _cmd_backtest(args: argparse.Namespace) -> str:
     games, window, cfg, policy = _scoring_inputs(args)
     with _user_errors():
         summary = evaluation.backtest(games, cfg, policy, window)
     _note_carryover(args, games)
-    _emit(analysis.render_report(summary, args.format), args.out)
-    return 0
+    return analysis.render_report(summary, args.format)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     games, window, cfg, policy = _scoring_inputs(args)
     with _user_errors():
         results = evaluation.sweep_k(games, args.k_values or SWEEP_KS, policy, window, base_cfg=cfg)
     _note_carryover(args, games)
-    _emit(analysis.render_sweep(results, args.format), args.out)
-    return 0
+    return analysis.render_sweep(results, args.format)
 
 
 _COMMANDS = {
@@ -472,7 +461,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), args.out)
+        return 0
     except CliError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

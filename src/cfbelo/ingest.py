@@ -84,9 +84,8 @@ class ParsedGames:
 
 
 def load_aliases(text: str) -> dict[str, str]:
-    """Parse an alias directory, a JSON object of alias -> canonical name, into a dict whose lookup table
-    is built once for every parse it is passed to. ValueError if a canonical name is blank or not clean, or if
-    two names that clean and casefold alike name different teams: re-ingesting ingest's output changes nothing."""
+    """Parse an alias directory, a JSON object of alias -> canonical name, into a dict whose lookup table is built and
+    checked (see `_ResolvedDirectory`) once for every parse it is passed to. ValueError if either step fails."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -95,13 +94,7 @@ def load_aliases(text: str) -> dict[str, str]:
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
         raise ValueError("alias directory must be a JSON object mapping names to names")
-    directory = _ResolvedDirectory(data)
-    for name, team in chain(data.items(), zip(data.values(), data.values())):
-        if not team or _clean(team) != team:
-            raise ValueError(f"canonical name {team!r} is blank or not trimmed to single spaces")
-        if (hit := directory.lookup(_clean(name))) != team:
-            raise ValueError(f"{name!r} names {team!r}, but a name alike in case and spacing names {hit!r}")
-    return directory
+    return _ResolvedDirectory(data)
 
 
 def _clean(name: str) -> str:
@@ -109,8 +102,9 @@ def _clean(name: str) -> str:
 
 
 class _ResolvedDirectory(dict):
-    """Alias map with a precomputed casefolded lookup table. Canonical names map
-    to themselves so case/spacing variants of one resolve without an alias entry."""
+    """Alias map with a precomputed casefolded lookup table. Canonical names map to themselves so case/spacing
+    variants of one resolve without an alias entry. ValueError if a canonical name is blank or not clean, or if
+    two names that clean and casefold alike name different teams: re-ingesting ingest's output changes nothing."""
 
     def __init__(self, directory: dict[str, str] | None):
         super().__init__(directory or {})
@@ -118,10 +112,15 @@ class _ResolvedDirectory(dict):
         for alias, canonical in self.items():
             self._table[_clean(alias).casefold()] = canonical
             self._table.setdefault(_clean(canonical).casefold(), canonical)
+        for name, team in chain(self.items(), zip(self.values(), self.values())):
+            if not team or _clean(team) != team:
+                raise ValueError(f"canonical name {team!r} is blank or not trimmed to single spaces")
+            if (hit := self.lookup(_clean(name))) != team:
+                raise ValueError(f"{name!r} names {team!r}, but a name alike in case and spacing names {hit!r}")
 
     @classmethod
     def of(cls, directory: dict[str, str] | None) -> "_ResolvedDirectory":
-        """The directory itself if its table is built, else a resolved copy."""
+        """The directory itself if its table is built, else a resolved and checked copy."""
         return directory if isinstance(directory, cls) else cls(directory)
 
     def lookup(self, cleaned: str) -> str | None:
@@ -137,6 +136,7 @@ def normalize_team(
 
     Known aliases map to their canonical form; unknown names pass through
     cleaned (trimmed, inner whitespace collapsed) with a warning recorded.
+    A plain dict is resolved and checked on every call; pass `load_aliases` output to do it once.
     """
     cleaned = _clean(name)
     if not cleaned:

@@ -809,6 +809,15 @@ class TestDefaultCut:
         code, _, err = run(capsys, *command, "--games", self.games(tmp_path, self.BOWL))
         assert (code, err) == (0, notes)
 
+    def test_multi_season_compare_notes_each_early_cut_in_season_order_then_the_carryover(self, capsys, tmp_path):
+        games = self.games(tmp_path, "2022,2023-01-02,16,Georgia,TCU,65,7,false", self.BOWL)
+        skipped = "cfbelo: note: skipping seasons without games: " + ", ".join(map(str, range(2014, 2022))) + "\n"
+        note_2022 = "cfbelo: note: the 2022 default cut is selection day, 2022-12-04; its last game is on 2023-01-02\n"
+        code, _, err = run(capsys, "compare", "--games", games)
+        assert (code, err) == (0, skipped + note_2022 + self.NOTE + ONE_BOUNDARY)
+        code, _, err = run(capsys, "compare", "--games", games, "--season", "2023", "--as-of", "2024-01-02")
+        assert (code, err) == (0, ONE_BOUNDARY)
+
     @pytest.mark.parametrize("command", [("snapshot",), ("compare",)])
     def test_no_note_on_the_bundled_demo_whose_cuts_are_selection_days(self, capsys, command):
         code, _, err = run(capsys, *command, "--games", DEMO_GAMES)
@@ -1135,14 +1144,15 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_out_file_equals_stdout(self, capsys, tmp_path, three_games):
-        target = tmp_path / "report.json"
-        _, out, _ = run(capsys, "rate", "--games", str(three_games), "--format", "json")
-        code = main(
-            ["rate", "--games", str(three_games), "--format", "json", "--out", str(target)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        assert target.read_text(encoding="utf-8") == out
+        # `main` writes every command's report, in every format, to one or the other.
+        target = tmp_path / "report"
+        for command in sorted(cli._COMMANDS):
+            for fmt in ("table", "csv", "json"):
+                argv = [command, *(() if command == "stats" else ("--games", str(three_games))), "--format", fmt]
+                code, out, _ = run(capsys, *argv)
+                assert (code, bool(out)) == (0, True), argv
+                assert run(capsys, *argv, "--out", str(target))[:2] == (0, ""), argv
+                assert target.read_text(encoding="utf-8") == out, argv
 
 
 TEAMS = ["Georgia", "Michigan", "Texas", "Washington", "Alabama", "Florida State", "Weber State", "ohio  state"]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime as dt
 import io
+import json
 import pickle
 import random
 import re
@@ -721,6 +722,32 @@ class TestNormalizeTeam:
     def test_empty_name_raises(self):
         with pytest.raises(ValueError):
             normalize_team("   ", bundled_aliases())
+
+
+class TestPlainDictDirectory:
+    """A plain-dict alias directory gets the checks `load_aliases` makes, with the same message."""
+
+    PICKS = "season,committee_rank,team,conference,won_championship\n2023,1,UGA,SEC,false\n"
+
+    @pytest.mark.parametrize(
+        "directory", [{"Georgia": ""}, {"UGA": "Georgia", "Georgia": "Dawgs"}], ids=["blank-canonical", "chained"]
+    )
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda d: parse_games(rows_to_text("2023,2023-09-02,1,Georgia,Texas,21,7,false"), aliases=d),
+            lambda d: parse_selections(TestPlainDictDirectory.PICKS, d),
+            lambda d: normalize_team("UGA", d),
+        ],
+        ids=["parse_games", "parse_selections", "normalize_team"],
+    )
+    def test_is_refused_as_the_loader_refuses_it(self, directory, use):
+        with pytest.raises(ValueError) as loaded:
+            ingest.load_aliases(json.dumps(directory))
+        with pytest.raises(ValueError) as plain:
+            use(directory)
+        assert type(plain.value) is ValueError
+        assert str(plain.value) == str(loaded.value)
 
 
 class TestParseSelections:
