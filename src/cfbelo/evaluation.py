@@ -1,5 +1,9 @@
 """Backtesting of predictive quality, K sweeps, and a synthetic league
-generator with known ground-truth strengths for recovery checks."""
+generator with known ground-truth strengths for recovery checks.
+
+`summarize` is the one scorer. It reads the winner probabilities that
+`engine.replay_arms` records, so the fold alone decides which games are
+scored and in what order."""
 
 from __future__ import annotations
 
@@ -10,17 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .elo import EloConfig, win_probability
-from .engine import CarryoverPolicy, Game, ordered, replay_arms
+from .engine import CarryoverPolicy, Game, replay_arms
 
 LOG_CLAMP = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class PredictionRecord:
-    """Pre-game win probability assigned to the team that went on to win."""
-
-    game: Game
-    p_winner_pregame: float
 
 
 @dataclass(frozen=True)
@@ -37,35 +33,15 @@ class SyntheticLeague:
     strengths: dict[str, float]
 
 
-def prediction_records(
-    games: Sequence[Game],
-    cfg: EloConfig = EloConfig(),
-    policy: CarryoverPolicy = CarryoverPolicy(),
-    eval_window: tuple[int, int] | None = None,
-) -> list[PredictionRecord]:
-    """Replay every game, recording the winner's pre-update win probability
-    for games whose season falls inside the inclusive eval window.
+def summarize(p_winners: Sequence[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
+    """Brier score, log loss, and accuracy over pre-game winner probabilities,
+    a list or the array a replay fold scores.
 
-    Predictions are always made before the game's outcome touches the
-    ratings, so truncating later seasons cannot change earlier records.
+    Each outcome is "the winner won", so per game the Brier term is (1 - p)^2
+    and the log-loss term is -ln(p) with p clamped away from 0 and 1. A
+    coin-flip p of exactly 0.5 earns half an accuracy point. ValueError if
+    there is no probability: under `eval_window`, the window matched no season.
     """
-    first, last = window = eval_window or (-math.inf, math.inf)
-    scored = [g for g in ordered(games) if first <= g.season <= last]
-    return list(map(PredictionRecord, scored, replay_arms(games, (cfg,), policy, window=window)[0][2]))
-
-
-def summarize(records: Sequence[PredictionRecord]) -> EvalSummary:
-    """Brier score, log loss, and accuracy over prediction records.
-
-    Each record's realized outcome is "the winner won", so per game the Brier
-    term is (1 - p)^2 and the log-loss term is -ln(p) with p clamped away
-    from 0 and 1. A coin-flip p of exactly 0.5 earns half an accuracy point.
-    """
-    return _summary([r.p_winner_pregame for r in records])
-
-
-def _summary(p_winners: Sequence[float], eval_window: tuple[int, int] | None = None) -> EvalSummary:
-    """`summarize` over a list or array of winner probabilities; empty under `eval_window`, no season matched."""
     if not p_winners:
         raise ValueError("no predictions to summarize" if eval_window is None else
                          f"eval window {eval_window[0]}..{eval_window[1]} matches no season in the data")
@@ -90,7 +66,7 @@ def backtest(
 ) -> EvalSummary:
     """Replay the stream and score predictions inside the eval window."""
     window = eval_window or (-math.inf, math.inf)
-    return _summary(replay_arms(games, (cfg,), policy, window=window)[0][2], eval_window)
+    return summarize(replay_arms(games, (cfg,), policy, window=window)[0][2], eval_window)
 
 
 def sweep_k(
@@ -104,7 +80,7 @@ def sweep_k(
     advanced in one replay and returned in the order the K values were given."""
     cfgs = [replace(base_cfg, k_factor=k) for k in k_values]
     arms = replay_arms(games, cfgs, policy, window=eval_window or (-math.inf, math.inf))
-    return [(k, _summary(p_winners, eval_window)) for k, (_, _, p_winners) in zip(k_values, arms)]
+    return [(k, summarize(p_winners, eval_window)) for k, (_, _, p_winners) in zip(k_values, arms)]
 
 
 def simulate_league(

@@ -90,10 +90,6 @@ def load_aliases(text: str) -> dict[str, str]:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
-    if not isinstance(data, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in data.items()
-    ):
-        raise ValueError("alias directory must be a JSON object mapping names to names")
     return _ResolvedDirectory(data)
 
 
@@ -103,11 +99,14 @@ def _clean(name: str) -> str:
 
 class _ResolvedDirectory(dict):
     """Alias map with a precomputed casefolded lookup table. Canonical names map to themselves so case/spacing
-    variants of one resolve without an alias entry. ValueError if a canonical name is blank or not clean, or if
-    two names that clean and casefold alike name different teams: re-ingesting ingest's output changes nothing."""
+    variants of one resolve without an alias entry. ValueError if it is not a dict of strings, if a canonical name
+    is blank or not clean, or if two names that clean and casefold alike name different teams: re-ingesting ingest's
+    output changes nothing."""
 
-    def __init__(self, directory: dict[str, str] | None):
-        super().__init__(directory or {})
+    def __init__(self, directory: dict[str, str]):
+        if not (isinstance(directory, dict) and all(isinstance(n, str) for n in chain(directory, directory.values()))):
+            raise ValueError("alias directory must be a JSON object mapping names to names")
+        super().__init__(directory)
         self._table: dict[str, str] = {}
         for alias, canonical in self.items():
             self._table[_clean(alias).casefold()] = canonical
@@ -121,7 +120,7 @@ class _ResolvedDirectory(dict):
     @classmethod
     def of(cls, directory: dict[str, str] | None) -> "_ResolvedDirectory":
         """The directory itself if its table is built, else a resolved and checked copy."""
-        return directory if isinstance(directory, cls) else cls(directory)
+        return directory if isinstance(directory, cls) else cls(directory or {})
 
     def lookup(self, cleaned: str) -> str | None:
         return self._table.get(cleaned.casefold())
@@ -338,8 +337,8 @@ def games_to_csv(games: list[Game]) -> Iterator[str]:
     the season's first game).
 
     Each distinct value is encoded once: a row joins its date's memoized "season,date,week,"
-    prefix, each team name as csv.writer quotes it (memoized, at most 1,024 names; one that
-    needs no quotes is kept as itself), the scores and the flag.
+    prefix, each team name as csv.writer writes it (memoized, at most 1,024 names; one with
+    none of `,` `"` CR LF is kept as itself), the scores and the flag.
     """
     season_starts: dict[int, dt.date] = {}
     for game in games:
@@ -347,15 +346,15 @@ def games_to_csv(games: list[Game]) -> Iterator[str]:
         if first is None or game.date < first:
             season_starts[game.season] = game.date
     prefixes = _Memo(lambda key: f"{key[0]},{key[1].isoformat()},{(key[1] - season_starts[key[0]]).days // 7 + 1},")
-    # writerow returns the line `write` returns; the empty cell keeps a lone "" name unquoted.
-    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    names = _Memo(lambda cell: cell if (text := line((cell, ""))[:-2]) == cell else text, 1024)
+    # A writer holds a 128 KiB buffer, so only a name that may need quotes gets one; writerow returns the line.
+    names = _Memo(lambda cell: csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow((cell,))[:-1]
+                  if re.search(r'[,"\r\n]', cell) else cell, 1024)
     rows = (
         f'{prefixes[g.season, g.date]}{names[g.team_a]},{names[g.team_b]},{g.score_a},{g.score_b},'
         f'{"true" if g.neutral_site else "false"}\n'
         for g in games
     )
-    yield line(GAMES_HEADER)
+    yield ",".join(GAMES_HEADER) + "\n"
     while piece := "".join(islice(rows, CHUNK)):
         yield piece
 

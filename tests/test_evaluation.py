@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import math
 import sys
+from array import array
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -16,10 +17,8 @@ from cfbelo.engine import CarryoverPolicy, Game, Snapshot, ordered, rank_teams, 
 from cfbelo.evaluation import (
     LOG_CLAMP,
     EvalSummary,
-    PredictionRecord,
     backtest,
     kendall_tau,
-    prediction_records,
     simulate_league,
     summarize,
     sweep_k,
@@ -75,26 +74,17 @@ class TestSummarize:
         assert summary.log_loss == pytest.approx(math.log(2), abs=1e-9)
 
     def test_perfect_prediction_limit(self):
-        records = [
-            PredictionRecord(one_game(), 1.0 - 1e-9),
-            PredictionRecord(one_game(b="C"), 1.0 - 1e-9),
-        ]
-        summary = summarize(records)
+        summary = summarize([1.0 - 1e-9, 1.0 - 1e-9])
         assert summary.brier == pytest.approx(0.0, abs=1e-15)
         assert summary.accuracy == 1.0
 
     def test_log_loss_clamped_on_degenerate_inputs(self):
-        summary = summarize([PredictionRecord(one_game(), 0.0)])
+        summary = summarize([0.0])
         assert math.isfinite(summary.log_loss)
         assert summary.log_loss == pytest.approx(-math.log(1e-12))
 
     def test_accuracy_knife_edge_scores_half(self):
-        records = [
-            PredictionRecord(one_game(), 0.5),
-            PredictionRecord(one_game(b="C"), 0.9),
-            PredictionRecord(one_game(b="D"), 0.1),
-        ]
-        assert summarize(records).accuracy == pytest.approx(0.5)
+        assert summarize([0.5, 0.9, 0.1]).accuracy == pytest.approx(0.5)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
@@ -103,8 +93,8 @@ class TestSummarize:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBABILITIES)), min_size=1))
     def test_scorer_equals_the_reference_loop(self, p_winners):
-        records = [PredictionRecord(one_game(), p) for p in p_winners]
-        assert summarize(records) == reference_summary(p_winners)
+        assert summarize(p_winners) == reference_summary(p_winners)
+        assert summarize(array("d", p_winners)) == summarize(p_winners)
 
 
 class TestBacktest:
@@ -125,8 +115,9 @@ class TestBacktest:
     def test_predictions_precede_outcomes(self):
         league = simulate_league(8, 10, 400.0, seed=5)
         later = simulate_league(8, 10, 400.0, seed=6, season=2001)
-        full = prediction_records(league.games + later.games, CFG, eval_window=(2000, 2000))
-        prefix = prediction_records(league.games, CFG, eval_window=(2000, 2000))
+        [(_, _, full)] = replay_arms(league.games + later.games, (CFG,), window=(2000, 2000))
+        [(_, _, prefix)] = replay_arms(league.games, (CFG,), window=(2000, 2000))
+        assert len(prefix) == len(league.games)
         assert full == prefix
 
     def test_warmup_seasons_inform_window_predictions(self):
@@ -193,15 +184,18 @@ def seasons_of_games(draw):
 class TestOnePassScorer:
     @settings(max_examples=100, deadline=None)
     @given(seasons_of_games(), POLICIES, WINDOWS, st.lists(st.floats(0.5, 200.0), min_size=1, max_size=5))
-    def test_sweep_and_backtest_equal_summaries_of_prediction_records(self, games, policy, window, ks):
-        per_k = [prediction_records(games, dataclasses.replace(CFG, k_factor=k), policy, window) for k in ks]
+    def test_sweep_and_backtest_equal_one_arm_folds(self, games, policy, window, ks):
+        def one_arm(cfg):
+            return replay_arms(games, (cfg,), policy, window=window or (-math.inf, math.inf))[0][2]
+
+        per_k = [one_arm(dataclasses.replace(CFG, k_factor=k)) for k in ks]
         if not per_k[0]:
             for score in (lambda: sweep_k(games, ks, policy, window), lambda: backtest(games, CFG, policy, window)):
                 with pytest.raises(ValueError, match="matches no season"):
                     score()
             return
-        assert sweep_k(games, ks, policy, window) == [(k, summarize(records)) for k, records in zip(ks, per_k)]
-        assert backtest(games, CFG, policy, window) == summarize(prediction_records(games, CFG, policy, window))
+        assert sweep_k(games, ks, policy, window) == [(k, summarize(p)) for k, p in zip(ks, per_k)]
+        assert backtest(games, CFG, policy, window) == summarize(one_arm(CFG))
 
     @settings(max_examples=100, deadline=None)
     @given(seasons_of_games(), POLICIES, WINDOWS, st.lists(st.floats(0.5, 200.0), min_size=1, max_size=3))
@@ -344,14 +338,13 @@ class TestLeftToRightSums:
     """
 
     def test_summarize_adds_left_to_right(self):
-        records = prediction_records(games_from_demo_file())
-        p = [r.p_winner_pregame for r in records]
+        [(_, _, p)] = replay_arms(games_from_demo_file(), (CFG,), window=(-math.inf, math.inf))
         brier_terms = [(1.0 - x) ** 2 for x in p]
         log_terms = [-math.log(min(max(x, LOG_CLAMP), 1.0 - LOG_CLAMP)) for x in p]
         # The input tells the two orders apart.
         assert compensated_sum(brier_terms) != reduce(add, brier_terms, 0.0)
         assert compensated_sum(log_terms) != reduce(add, log_terms, 0.0)
-        summary = summarize(records)
+        summary = summarize(p)
         assert summary.brier == reduce(add, brier_terms, 0.0) / len(p)
         assert summary.log_loss == reduce(add, log_terms, 0.0) / len(p)
 

@@ -706,6 +706,13 @@ class TestRenderAgainstOracle:
         assert len(pieces) == 1 + -(-count // ingest.CHUNK)
         assert "".join(pieces) == naive_games_json(games)
 
+    def test_every_name_is_quoted_as_the_csv_writer_quotes_it(self):
+        # Every code point of the Basic Multilingual Plane but the surrogates, inside a name.
+        names = [f"a{chr(c)}b" for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+        day = dt.date(2023, 9, 2)
+        games = [Game(2023, day, home, away, 1, 0) for home, away in zip(names[::2], names[1::2])]
+        assert "".join(games_to_csv(games)) == naive_games_to_csv(games)
+
 
 class TestNormalizeTeam:
     def test_case_and_spacing_fold_to_canonical(self):
@@ -728,11 +735,7 @@ class TestPlainDictDirectory:
     """A plain-dict alias directory gets the checks `load_aliases` makes, with the same message."""
 
     PICKS = "season,committee_rank,team,conference,won_championship\n2023,1,UGA,SEC,false\n"
-
-    @pytest.mark.parametrize(
-        "directory", [{"Georgia": ""}, {"UGA": "Georgia", "Georgia": "Dawgs"}], ids=["blank-canonical", "chained"]
-    )
-    @pytest.mark.parametrize(
+    EVERY_PATH = pytest.mark.parametrize(
         "use",
         [
             lambda d: parse_games(rows_to_text("2023,2023-09-02,1,Georgia,Texas,21,7,false"), aliases=d),
@@ -741,6 +744,11 @@ class TestPlainDictDirectory:
         ],
         ids=["parse_games", "parse_selections", "normalize_team"],
     )
+
+    @pytest.mark.parametrize(
+        "directory", [{"Georgia": ""}, {"UGA": "Georgia", "Georgia": "Dawgs"}], ids=["blank-canonical", "chained"]
+    )
+    @EVERY_PATH
     def test_is_refused_as_the_loader_refuses_it(self, directory, use):
         with pytest.raises(ValueError) as loaded:
             ingest.load_aliases(json.dumps(directory))
@@ -748,6 +756,14 @@ class TestPlainDictDirectory:
             use(directory)
         assert type(plain.value) is ValueError
         assert str(plain.value) == str(loaded.value)
+
+    @pytest.mark.parametrize(
+        "directory", [{"UGA": 7}, {3: "Georgia"}, {"UGA": None}], ids=["int-value", "int-key", "none-value"]
+    )
+    @EVERY_PATH
+    def test_non_string_names_are_refused_with_the_loaders_message(self, directory, use):
+        with pytest.raises(ValueError, match="^alias directory must be a JSON object mapping names to names$"):
+            use(directory)
 
 
 class TestParseSelections:
